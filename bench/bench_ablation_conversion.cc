@@ -3,15 +3,11 @@
 // consumes (the paper's conversion overhead between the relational engine
 // and the ML runtime, §6).
 //
-// Two tables:
-//  - "conversion": the columnar→matrix pack in isolation. "boxed" is the
-//    engine's historical per-cell path (Vector::GetValue(r) → Value →
-//    AsDouble), "typed" is the gather-kernel path (exec/gather.h) the
-//    ModelJoin and C-API operators now use — each timed over flat vectors
-//    and over selection views (filter survivors).
-//  - "scan_mode": a full scan→filter→project query with the zero-copy scan
-//    on vs off (QueryEngine::Options::zero_copy_scan), isolating what
-//    view + selection-vector emission saves end to end.
+// "conversion": the columnar→matrix pack in isolation. "boxed" is the
+// engine's historical per-cell path (Vector::GetValue(r) → Value →
+// AsDouble), "typed" is the gather-kernel path (exec/gather.h) the ModelJoin
+// and C-API operators now use — each timed over flat vectors and over
+// selection views (filter survivors).
 
 #include <algorithm>
 #include <cstdio>
@@ -28,7 +24,6 @@
 #include "common/string_util.h"
 #include "exec/gather.h"
 #include "exec/vector.h"
-#include "sql/query_engine.h"
 
 namespace indbml::benchlib {
 namespace {
@@ -92,51 +87,9 @@ double TimeTypedPack(const std::vector<exec::Vector>& cols, float* dst,
   return best;
 }
 
-storage::TablePtr MakeFactTable(int64_t rows) {
-  auto table = std::make_shared<storage::Table>(
-      "fact", std::vector<storage::Field>{{"id", exec::DataType::kInt64},
-                                          {"a", exec::DataType::kFloat},
-                                          {"b", exec::DataType::kFloat}});
-  Random rng(42);
-  table->Reserve(rows);
-  for (int64_t i = 0; i < rows; ++i) {
-    INDBML_CHECK(table
-                     ->AppendRow({storage::Value::Int64(i),
-                                  storage::Value::Float(rng.NextFloat(-2, 2)),
-                                  storage::Value::Float(rng.NextFloat(-2, 2))})
-                     .ok());
-  }
-  table->Finalize();
-  table->SetUniqueIdColumn("id");
-  table->SetSortedBy({"id"});
-  return table;
-}
-
-/// Serial wall seconds of a selection-producing query under the given scan
-/// mode (min over `reps`; result row count returned for cross-checking).
-double TimeQuery(bool zero_copy, int64_t rows, int reps, int64_t* rows_out) {
-  sql::QueryEngine::Options options;
-  options.parallel = false;
-  options.zero_copy_scan = zero_copy;
-  sql::QueryEngine engine(options);
-  INDBML_CHECK(engine.catalog()->CreateTable(MakeFactTable(rows)).ok());
-  const std::string query =
-      "SELECT f.id, f.a * 2.0 + f.b AS e FROM fact f WHERE f.a >= 0.0";
-  double best = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch watch;
-    auto result = engine.ExecuteQuery(query);
-    INDBML_CHECK(result.ok()) << result.status().ToString();
-    best = std::min(best, watch.ElapsedSeconds());
-    *rows_out = result->num_rows;
-  }
-  return best;
-}
-
 int Run() {
   ScaleConfig scale = ScaleConfig::FromEnv();
   const int64_t pack_rows = scale.paper_scale ? 1000000 : 200000;
-  const int64_t query_rows = scale.paper_scale ? 8000000 : 2000000;
   const int reps = 5;
 
   ReportTable conversion("ablation_conversion",
@@ -156,24 +109,6 @@ int Run() {
                 boxed / typed);
   }
   conversion.Finish();
-
-  ReportTable scan_mode("ablation_scan_mode",
-                        {"scan", "seconds", "speedup_vs_materialized"});
-  int64_t rows_legacy = 0;
-  int64_t rows_zero_copy = 0;
-  double legacy = TimeQuery(/*zero_copy=*/false, query_rows, reps, &rows_legacy);
-  double zero_copy = TimeQuery(/*zero_copy=*/true, query_rows, reps, &rows_zero_copy);
-  INDBML_CHECK(rows_legacy == rows_zero_copy)
-      << rows_legacy << " vs " << rows_zero_copy;
-  scan_mode.AddRow({"materialized", FormatSeconds(legacy), "1.00x"});
-  scan_mode.AddRow({"zero_copy", FormatSeconds(zero_copy),
-                    StrFormat("%.2fx", legacy / zero_copy)});
-  std::printf("[scan_mode] rows=%lld survivors=%lld  materialized %8.4fs  "
-              "zero-copy %8.4fs  (%.2fx)\n",
-              static_cast<long long>(query_rows),
-              static_cast<long long>(rows_zero_copy), legacy, zero_copy,
-              legacy / zero_copy);
-  scan_mode.Finish();
   return 0;
 }
 

@@ -30,7 +30,6 @@ BLOCKING_RE = re.compile(
     r"\b(?:"
     r"WaitIdle|ParallelFor|"                       # pool barriers
     r"ExecuteQuery|ExecutePlan|ExecutePipeline|"   # query execution
-    r"ExecuteParallel|"
     r"BuildPartition|"                             # barrier-synchronised build
     r"trt_session_run|InferChunk|"                 # inference entry points
     r"RunInference|Forward"

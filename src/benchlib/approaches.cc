@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/config.h"
 #include "common/memory_tracker.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "exec/parallel.h"
+#include "exec/morsel.h"
 #include "exec/scan.h"
 #include "integration/capi_operator.h"
 #include "integration/external_client.h"
@@ -102,8 +103,9 @@ Result<double> PredictionChecksum(const exec::QueryResult& result) {
   return sum;
 }
 
-/// Builds and runs a partitioned scan + wrapper-operator plan (the C-API and
-/// UDF approaches, which are engine operators but not SQL-reachable).
+/// Builds and runs a morsel-bound scan + wrapper-operator plan (the C-API
+/// and UDF approaches, which are engine operators but not SQL-reachable) on
+/// the engine's morsel pipeline.
 Result<exec::QueryResult> RunOperatorPlan(
     const ApproachContext& context,
     const std::function<Result<exec::OperatorPtr>(exec::OperatorPtr child, int)>&
@@ -117,19 +119,18 @@ Result<exec::QueryResult> RunOperatorPlan(
     INDBML_ASSIGN_OR_RETURN(int col, fact->ColumnIndex(name));
     scan_columns.push_back(col);
   }
-  const auto& options = context.engine->options();
-  int partitions = options.parallel ? options.partitions : 1;
-  auto ranges = fact->MakePartitions(partitions);
 
-  exec::OperatorFactory factory =
-      [&](int partition) -> Result<exec::OperatorPtr> {
+  exec::WorkerPlanFactory factory = [&](int worker) -> Result<exec::OperatorPtr> {
     auto scan = std::make_unique<exec::TableScanOperator>(
-        fact, ranges[static_cast<size_t>(partition)], scan_columns,
+        exec::TableScanOperator::MorselBound{}, fact, scan_columns,
         std::vector<exec::ScanPredicate>{});
-    return wrap(std::move(scan), partition);
+    return wrap(std::move(scan), worker);
   };
-  ThreadPool* pool = partitions > 1 ? context.engine->pool() : nullptr;
-  return exec::ExecuteParallel(factory, partitions, context.engine->catalog(), pool);
+  exec::MorselSource source(exec::MakeMorsels(*fact, kDefaultMorselRows));
+  const int workers = context.engine->EffectiveWorkers();
+  std::shared_ptr<ThreadPool> pool = context.engine->SharedPool(workers);
+  return exec::ExecutePipeline(factory, &source, workers,
+                               context.engine->catalog(), pool.get());
 }
 
 Result<exec::QueryResult> Execute(Approach approach, const ApproachContext& context,

@@ -11,11 +11,6 @@ namespace indbml {
 /// batch size is equal to the database engine's vector size of 1024."
 inline constexpr int kDefaultVectorSize = 1024;
 
-/// Number of table partitions and the engine parallelism level.
-/// "Tables are partitioned into 12 partitions and the engine runs with a
-/// parallelism level of 12."
-inline constexpr int kDefaultPartitions = 12;
-
 /// Rows per storage block; each block keeps MinMax (zone map) statistics used
 /// for block pruning (paper §4.4, Small Materialized Aggregates).
 inline constexpr int64_t kRowsPerBlock = 4096;

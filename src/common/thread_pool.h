@@ -17,10 +17,9 @@ int HardwareConcurrency();
 
 /// Fixed-size worker pool.
 ///
-/// The query engine creates one pool per query with `parallelism` workers
-/// (paper setup: 12) and submits one task per table partition. `WaitIdle()`
-/// blocks until every submitted task has finished, which doubles as the
-/// pipeline barrier between the ModelJoin build and probe phases.
+/// The query engine keeps one shared pool sized to its pipeline worker
+/// count and submits one task per pipeline worker. `WaitIdle()` blocks
+/// until every submitted task has finished.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);

@@ -36,8 +36,8 @@ std::vector<storage::PartitionRange> MakeMorsels(const storage::Table& table,
 /// \brief Shared work queue of morsels with an atomic claim cursor.
 ///
 /// All pipeline workers pull from the same source until it runs dry — the
-/// morsel-driven scheduling of Leis et al., replacing the static
-/// partition-per-thread assignment. Each morsel is handed out exactly once.
+/// morsel-driven scheduling of Leis et al. Each morsel is handed out exactly
+/// once.
 /// Not movable/copyable (atomics); build the morsel vector with MakeMorsels
 /// and pass it in.
 class MorselSource {

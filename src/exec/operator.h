@@ -18,10 +18,9 @@ struct OperatorStats;
 /// Per-execution state passed down the operator tree.
 struct ExecContext {
   storage::Catalog* catalog = nullptr;
-  /// Worker running this operator-tree instance. Under the morsel-driven
-  /// pipeline executor this is the worker slot in [0, num_workers); under
-  /// the static-partition baseline it is the partition index (paper §4.4:
-  /// each execution thread gets a private query plan).
+  /// Worker running this operator-tree instance: the pipeline worker slot
+  /// in [0, num_workers), 0 for a serial drain (paper §4.4: each execution
+  /// thread gets a private query plan).
   int worker_id = 0;
   /// Row range of the morsel the executor is about to run (set before every
   /// Rewind call); morsel_index is the morsel's position in global row

@@ -32,13 +32,11 @@ bool CompareDoubles(double lhs, BinaryOp op, double rhs) {
 TableScanOperator::TableScanOperator(storage::TablePtr table,
                                      storage::PartitionRange range,
                                      std::vector<int> columns,
-                                     std::vector<ScanPredicate> predicates,
-                                     bool zero_copy)
+                                     std::vector<ScanPredicate> predicates)
     : table_(std::move(table)),
       range_(range),
       columns_(std::move(columns)),
-      predicates_(std::move(predicates)),
-      zero_copy_(zero_copy) {
+      predicates_(std::move(predicates)) {
   for (int c : columns_) {
     types_.push_back(table_->fields()[static_cast<size_t>(c)].type);
     names_.push_back(table_->fields()[static_cast<size_t>(c)].name);
@@ -47,10 +45,9 @@ TableScanOperator::TableScanOperator(storage::TablePtr table,
 
 TableScanOperator::TableScanOperator(MorselBound, storage::TablePtr table,
                                      std::vector<int> columns,
-                                     std::vector<ScanPredicate> predicates,
-                                     bool zero_copy)
+                                     std::vector<ScanPredicate> predicates)
     : TableScanOperator(std::move(table), storage::PartitionRange{0, 0},
-                        std::move(columns), std::move(predicates), zero_copy) {
+                        std::move(columns), std::move(predicates)) {
   morsel_bound_ = true;
 }
 
@@ -129,11 +126,10 @@ bool TableScanOperator::RowPasses(int64_t r) const {
 }
 
 Status TableScanOperator::Next(ExecContext*, DataChunk* out, bool* eof) {
-  if (!zero_copy_) return NextMaterialized(out, eof);
   const int64_t rows_per_block = table_->rows_per_block();
   while (cursor_ < range_.end) {
-    // Block pruning (unchanged from the materialising path): at a block
-    // boundary, consult the zone maps before touching rows.
+    // Block pruning: at a block boundary, consult the zone maps before
+    // touching rows.
     if (!predicates_.empty()) {
       int64_t block = cursor_ / rows_per_block;
       int64_t block_end = std::min((block + 1) * rows_per_block, range_.end);
@@ -183,49 +179,6 @@ Status TableScanOperator::Next(ExecContext*, DataChunk* out, bool* eof) {
     *eof = cursor_ >= range_.end;
     return Status::OK();
   }
-  *eof = true;
-  return Status::OK();
-}
-
-Status TableScanOperator::NextMaterialized(DataChunk* out, bool* eof) {
-  const int64_t rows_per_block = table_->rows_per_block();
-  while (cursor_ < range_.end) {
-    // Block pruning: if the cursor is at a block boundary within the
-    // partition, consult the zone maps before touching rows.
-    if (!predicates_.empty()) {
-      int64_t block = cursor_ / rows_per_block;
-      int64_t block_end = std::min((block + 1) * rows_per_block, range_.end);
-      if (cursor_ % rows_per_block == 0 && block_end <= range_.end) {
-        ++stats_.blocks_total;
-        if (CanPruneBlock(block)) {
-          ++stats_.blocks_pruned;
-          cursor_ = block_end;
-          continue;
-        }
-      }
-    }
-
-    int64_t block_limit =
-        std::min(((cursor_ / rows_per_block) + 1) * rows_per_block, range_.end);
-    int64_t want = kDefaultVectorSize - out->size;
-    int64_t scan_end = std::min(block_limit, cursor_ + want);
-
-    for (int64_t r = cursor_; r < scan_end; ++r) {
-      if (!predicates_.empty() && !RowPasses(r)) continue;
-      for (size_t ci = 0; ci < columns_.size(); ++ci) {
-        const storage::Column& col = table_->column(columns_[ci]);
-        out->column(static_cast<int64_t>(ci)).Append(col.GetValue(r));
-      }
-      ++out->size;
-    }
-    cursor_ = scan_end;
-    if (out->size >= kDefaultVectorSize) {
-      stats_.rows_emitted += out->size;
-      *eof = false;
-      return Status::OK();
-    }
-  }
-  stats_.rows_emitted += out->size;
   *eof = true;
   return Status::OK();
 }

@@ -26,14 +26,12 @@ struct ScanStats {
   int64_t rows_emitted = 0;
 };
 
-/// \brief Columnar table scan over one partition with optional pushed
+/// \brief Columnar table scan over a row range with optional pushed
 /// predicates and zone-map block pruning.
 ///
-/// In zero-copy mode (the default) the scan never touches row data to emit
-/// a chunk: each Next() produces Vector views sharing the table columns'
-/// buffers, and pushed predicates become a SelectionVector over the window
-/// instead of a survivor copy. The legacy materialising path is kept behind
-/// `zero_copy = false` for the conversion ablation benchmark.
+/// The scan never touches row data to emit a chunk: each Next() produces
+/// Vector views sharing the table columns' buffers, and pushed predicates
+/// become a SelectionVector over the window instead of a survivor copy.
 class TableScanOperator final : public Operator {
  public:
   /// Tag type selecting the morsel-bound constructor.
@@ -41,14 +39,13 @@ class TableScanOperator final : public Operator {
 
   /// `columns`: table column indexes to emit, in order.
   TableScanOperator(storage::TablePtr table, storage::PartitionRange range,
-                    std::vector<int> columns, std::vector<ScanPredicate> predicates,
-                    bool zero_copy = true);
+                    std::vector<int> columns, std::vector<ScanPredicate> predicates);
 
   /// Morsel-bound scan: the row range is not fixed at plan time but
   /// re-targeted by every Rewind from the morsel range published in the
   /// ExecContext (exec/morsel.h). Until the first Rewind the scan is empty.
   TableScanOperator(MorselBound, storage::TablePtr table, std::vector<int> columns,
-                    std::vector<ScanPredicate> predicates, bool zero_copy = true);
+                    std::vector<ScanPredicate> predicates);
 
   const std::vector<DataType>& output_types() const override { return types_; }
   const std::vector<std::string>& output_names() const override { return names_; }
@@ -65,8 +62,6 @@ class TableScanOperator final : public Operator {
   bool CanPruneBlock(int64_t block_index) const;
   /// True if row `r` passes all pushed predicates.
   bool RowPasses(int64_t r) const;
-  /// The pre-refactor row-at-a-time copying scan (`zero_copy = false`).
-  Status NextMaterialized(DataChunk* out, bool* eof);
 
   storage::TablePtr table_;
   storage::PartitionRange range_;
@@ -75,7 +70,6 @@ class TableScanOperator final : public Operator {
   std::vector<DataType> types_;
   std::vector<std::string> names_;
   bool morsel_bound_ = false;
-  bool zero_copy_ = true;
   int64_t cursor_ = 0;
   ScanStats stats_;
 };

@@ -13,14 +13,14 @@ namespace indbml::integration {
 /// \brief Raven-like in-engine inference through the external runtime's
 /// C API (paper class 2, evaluated as TF_CAPI_CPU / TF_CAPI_GPU).
 ///
-/// Each partition instance owns its own runtime session (created from the
+/// Each worker instance owns its own runtime session (created from the
 /// shared serialized model). Per chunk it converts the engine's columnar
 /// vectors into the runtime's row-major input matrix, calls
 /// `trt_session_run`, and scatters the row-major result back into columns —
 /// the layout-conversion cost the paper attributes to this approach (§6.1).
 class CApiInferenceOperator final : public exec::Operator {
  public:
-  /// `model_bytes` is the serialized model shared by all partitions;
+  /// `model_bytes` is the serialized model shared by all worker instances;
   /// `device` is the runtime device name ("cpu"/"gpu").
   CApiInferenceOperator(exec::OperatorPtr child,
                         std::shared_ptr<const std::vector<uint8_t>> model_bytes,

@@ -24,15 +24,11 @@ void Mix(uint64_t* h, uint64_t v) {
 
 uint64_t OptionsFingerprint(const sql::QueryEngine::Options& options) {
   uint64_t h = kFnvOffset;
-  Mix(&h, static_cast<uint64_t>(options.partitions));
   Mix(&h, static_cast<uint64_t>(options.worker_threads));
   Mix(&h, static_cast<uint64_t>(options.morsel_rows));
   Mix(&h, static_cast<uint64_t>(options.inference.batch_window_us));
   Mix(&h, static_cast<uint64_t>(options.inference.max_batch_rows));
   uint64_t flags = 0;
-  flags = flags << 1 | (options.morsel_driven ? 1 : 0);
-  flags = flags << 1 | (options.parallel ? 1 : 0);
-  flags = flags << 1 | (options.zero_copy_scan ? 1 : 0);
   flags = flags << 1 | (options.fused_pipeline ? 1 : 0);
   flags = flags << 1 | (options.shared_models ? 1 : 0);
   flags = flags << 1 | (options.inference.result_cache ? 1 : 0);

@@ -79,14 +79,8 @@ Result<std::shared_ptr<QueryHandle>> Session::SubmitPlan(
   const int max_workers =
       single_instance ? 1 : server_->executor()->num_threads();
 
-  // The static-partition path never runs under the shared executor: plans
-  // that don't qualify for morsel scheduling execute as one serial drain,
-  // so prepare them single-worker (full scan range in instance 0).
-  sql::QueryEngine::Options prep_opts = opts;
-  prep_opts.partitions = 1;
   INDBML_ASSIGN_OR_RETURN(
-      auto prep,
-      engine->PreparePhysical(*plan, prep_opts, max_workers, nullptr));
+      auto prep, engine->PreparePhysical(*plan, opts, max_workers, nullptr));
 
   // The job may outlive this call (non-blocking submit): the factory keeps
   // the planner and the cached logical plan alive until the query finishes.

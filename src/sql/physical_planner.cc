@@ -58,16 +58,12 @@ PhysicalPlanner::PhysicalPlanner(const LogicalOp* plan, const PlanAnalysis& anal
                                  int requested_workers,
                                  ModelJoinStateFactory state_factory,
                                  ModelJoinOperatorFactory operator_factory,
-                                 exec::QueryProfile* profile, bool morsel_driven,
-                                 bool zero_copy_scan, bool fused_pipeline,
+                                 exec::QueryProfile* profile, bool fused_pipeline,
                                  bool shared_models,
                                  InferenceExecOptions inference)
     : plan_(plan),
       analysis_(analysis),
       num_workers_(analysis.parallel_safe ? std::max(1, requested_workers) : 1),
-      morsel_driven_(morsel_driven && analysis.parallel_safe &&
-                     analysis.partitioned_table != nullptr),
-      zero_copy_scan_(zero_copy_scan),
       fused_pipeline_(fused_pipeline),
       shared_models_(shared_models),
       inference_(inference),
@@ -136,14 +132,14 @@ Result<OperatorPtr> PhysicalPlanner::Build(const LogicalOp& node, int worker) {
   return op;
 }
 
-Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node,
-                                                   int worker) {
-  // Fusion rides on the zero-copy substrate (it emits selection vectors over
-  // table storage). Profiled plans keep the discrete operators so EXPLAIN
-  // ANALYZE reports true per-operator row counts and timings.
-  if (!zero_copy_scan_ || !fused_pipeline_ || profile_ != nullptr) {
-    return OperatorPtr();
-  }
+bool PhysicalPlanner::IsMorselBound(const LogicalOp& scan) const {
+  return num_workers_ > 1 && scan.table.get() == analysis_.partitioned_table;
+}
+
+Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
+  // Profiled plans keep the discrete operators so EXPLAIN ANALYZE reports
+  // true per-operator row counts and timings.
+  if (!fused_pipeline_ || profile_ != nullptr) return OperatorPtr();
   const LogicalOp* cur = &node;
   const LogicalOp* project = nullptr;
   if (cur->kind == LogicalKind::kProject) {
@@ -190,42 +186,36 @@ Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node,
     }
   }
 
-  if (morsel_driven_ && scan.table.get() == analysis_.partitioned_table) {
+  if (IsMorselBound(scan)) {
     return OperatorPtr(std::make_unique<exec::FusedTableScanOperator>(
         exec::FusedTableScanOperator::MorselBound{}, scan.table,
         scan.scan_columns, scan.pushed, std::move(residuals),
         std::move(projection), std::move(names)));
   }
-  storage::PartitionRange range{0, scan.table->num_rows()};
-  if (scan.table.get() == analysis_.partitioned_table && num_workers_ > 1) {
-    range = scan.table->MakePartitions(num_workers_)[static_cast<size_t>(worker)];
-  }
   return OperatorPtr(std::make_unique<exec::FusedTableScanOperator>(
-      scan.table, range, scan.scan_columns, scan.pushed, std::move(residuals),
-      std::move(projection), std::move(names)));
+      scan.table, storage::PartitionRange{0, scan.table->num_rows()},
+      scan.scan_columns, scan.pushed, std::move(residuals), std::move(projection),
+      std::move(names)));
 }
 
 Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker) {
   switch (node.kind) {
     case LogicalKind::kScan: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node, worker));
+      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
       if (fused != nullptr) return fused;
-      if (morsel_driven_ && node.table.get() == analysis_.partitioned_table) {
+      if (IsMorselBound(node)) {
         // Morsel-bound: starts empty; the pipeline executor re-targets the
         // scan's row range per claimed morsel via Rewind.
         return OperatorPtr(std::make_unique<exec::TableScanOperator>(
             exec::TableScanOperator::MorselBound{}, node.table, node.scan_columns,
-            node.pushed, zero_copy_scan_));
-      }
-      storage::PartitionRange range{0, node.table->num_rows()};
-      if (node.table.get() == analysis_.partitioned_table && num_workers_ > 1) {
-        range = node.table->MakePartitions(num_workers_)[static_cast<size_t>(worker)];
+            node.pushed));
       }
       return OperatorPtr(std::make_unique<exec::TableScanOperator>(
-          node.table, range, node.scan_columns, node.pushed, zero_copy_scan_));
+          node.table, storage::PartitionRange{0, node.table->num_rows()},
+          node.scan_columns, node.pushed));
     }
     case LogicalKind::kFilter: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node, worker));
+      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
       if (fused != nullptr) return fused;
       INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
       auto mapping = PositionMap(node.children[0]->outputs);
@@ -234,7 +224,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
           std::make_unique<exec::FilterOperator>(std::move(child), std::move(cond)));
     }
     case LogicalKind::kProject: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node, worker));
+      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
       if (fused != nullptr) return fused;
       INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
       auto mapping = PositionMap(node.children[0]->outputs);

@@ -77,12 +77,11 @@ using ModelJoinOperatorFactory =
 
 /// \brief Lowers an optimized logical plan to per-worker operator trees.
 ///
-/// Column references (binder ids) are rewritten to chunk positions. In the
-/// default (static) mode, the partitioned scan identified by the
-/// PlanAnalysis receives its worker's row range; with `morsel_driven` set,
-/// that scan is built morsel-bound instead (empty until the pipeline
-/// executor assigns it a row range via Rewind). Every other scan reads its
-/// full table in each worker.
+/// Column references (binder ids) are rewritten to chunk positions. With
+/// more than one worker, the scans of the partitioned table identified by
+/// the PlanAnalysis are built morsel-bound (empty until the pipeline
+/// executor assigns them a row range via Rewind). Every other scan, and
+/// every scan of a one-worker plan, reads its full table.
 class PhysicalPlanner {
  public:
   /// With a non-null `profile`, Prepare() registers every plan node in it
@@ -93,7 +92,6 @@ class PhysicalPlanner {
                   int requested_workers, ModelJoinStateFactory state_factory,
                   ModelJoinOperatorFactory operator_factory,
                   exec::QueryProfile* profile = nullptr,
-                  bool morsel_driven = false, bool zero_copy_scan = true,
                   bool fused_pipeline = true, bool shared_models = false,
                   InferenceExecOptions inference = {});
 
@@ -114,14 +112,14 @@ class PhysicalPlanner {
   /// Fuses a [Project(column refs)] [Filter]* Scan chain rooted at `node`
   /// into one FusedTableScanOperator. Returns nullptr (OK) when the chain
   /// does not qualify; the caller falls through to discrete operators.
-  Result<exec::OperatorPtr> TryBuildFused(const LogicalOp& node, int worker);
+  Result<exec::OperatorPtr> TryBuildFused(const LogicalOp& node);
+  /// True if `scan` is built morsel-bound rather than over its full table.
+  bool IsMorselBound(const LogicalOp& scan) const;
   void RegisterProfileNodes(const LogicalOp& node, int depth);
 
   const LogicalOp* plan_;
   PlanAnalysis analysis_;
   int num_workers_;
-  bool morsel_driven_;
-  bool zero_copy_scan_;
   bool fused_pipeline_;
   bool shared_models_;
   InferenceExecOptions inference_;

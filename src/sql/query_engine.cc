@@ -6,7 +6,6 @@
 #include "common/trace.h"
 #include "common/validation.h"
 #include "exec/morsel.h"
-#include "exec/parallel.h"
 #include "sql/parser.h"
 #include "sql/plan_validate.h"
 
@@ -51,8 +50,6 @@ std::shared_ptr<ThreadPool> QueryEngine::SharedPool(int want) {
   return pool_;
 }
 
-ThreadPool* QueryEngine::pool() { return SharedPool(EffectiveWorkers()).get(); }
-
 Result<LogicalOpPtr> QueryEngine::PlanQuery(const std::string& sql,
                                             const Options& opts) {
   INDBML_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
@@ -79,20 +76,14 @@ Result<QueryEngine::PhysicalPrep> QueryEngine::PreparePhysical(
   PhysicalPrep prep;
   Optimizer optimizer(opts.optimizer);
   prep.analysis = optimizer.Analyze(plan);
-  prep.use_morsel = opts.morsel_driven && opts.parallel &&
-                    prep.analysis.parallel_safe &&
-                    prep.analysis.partitioned_table != nullptr &&
-                    max_workers > 1;
-  // Serial mode must plan one worker: multi-worker plans synchronise inside
+  prep.use_morsel = prep.analysis.parallel_safe && max_workers > 1;
+  // Anything else plans one worker: multi-worker plans synchronise inside
   // operators (ModelJoin build barrier) and require all worker trees to run
   // concurrently.
-  int requested =
-      prep.use_morsel ? max_workers : (opts.parallel ? opts.partitions : 1);
   prep.planner = std::make_unique<PhysicalPlanner>(
-      &plan, prep.analysis, requested, modeljoin_state_factory_,
-      modeljoin_operator_factory_, profile, prep.use_morsel,
-      opts.zero_copy_scan, opts.fused_pipeline, opts.shared_models,
-      opts.inference);
+      &plan, prep.analysis, prep.use_morsel ? max_workers : 1,
+      modeljoin_state_factory_, modeljoin_operator_factory_, profile,
+      opts.fused_pipeline, opts.shared_models, opts.inference);
   INDBML_RETURN_NOT_OK(prep.planner->Prepare());
   if (prep.use_morsel && validation::Enabled()) {
     INDBML_RETURN_NOT_OK(ValidateMorselSafety(plan, prep.analysis));
@@ -132,22 +123,10 @@ Result<exec::QueryResult> QueryEngine::ExecutePlan(const LogicalOp& plan,
       return exec::ExecutePipeline(factory, &source, planner.num_workers(),
                                    &catalog_, run_pool.get());
     }
-    exec::OperatorFactory factory = [&](int worker) {
-      return planner.Instantiate(worker);
-    };
-    std::shared_ptr<ThreadPool> run_pool;
-    if (opts.parallel && planner.num_workers() > 1) {
-      run_pool = SharedPool(pipeline_workers);
-      // The engine pool is sized for the pipeline executor; a static plan with
-      // more partitions than pool threads would deadlock operators that
-      // barrier across workers (ModelJoin build). Give those queries a
-      // dedicated right-sized pool.
-      if (planner.num_workers() > run_pool->num_threads()) {
-        run_pool = std::make_shared<ThreadPool>(planner.num_workers());
-      }
-    }
-    return exec::ExecuteParallel(factory, planner.num_workers(), &catalog_,
-                                 run_pool.get());
+    INDBML_ASSIGN_OR_RETURN(exec::OperatorPtr root, planner.Instantiate(0));
+    exec::ExecContext ctx;
+    ctx.catalog = &catalog_;
+    return exec::DrainOperator(root.get(), &ctx);
   };
   auto result = run();
 

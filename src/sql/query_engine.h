@@ -28,29 +28,17 @@ namespace indbml::sql {
 class QueryEngine {
  public:
   struct Options {
-    /// Partition count of the legacy static-partitioning path, used when
-    /// `morsel_driven` is false (paper §6.1 uses 12).
-    int partitions = kDefaultPartitions;
-    /// Pipeline worker threads; 0 = one per hardware thread. Independent of
-    /// `partitions`: workers are an execution resource, partitions/morsels a
-    /// work-division unit. Honored on the next query when changed.
+    /// Pipeline worker threads; 0 = one per hardware thread, 1 = serial
+    /// (every plan drains on the calling thread). Workers are an execution
+    /// resource, morsels the work-division unit. Honored on the next query
+    /// when changed.
     int worker_threads = 0;
     /// Rows per morsel handed out by the work-stealing scheduler.
     int64_t morsel_rows = kDefaultMorselRows;
-    /// Schedule parallel plans morsel-wise with work stealing (default);
-    /// false = one static contiguous partition per thread.
-    bool morsel_driven = true;
-    /// Run workers on a thread pool; false = serial (debugging).
-    bool parallel = true;
-    /// Scans emit zero-copy views over table storage, and filters emit
-    /// selection vectors instead of copying survivors (default); false =
-    /// the legacy per-row materialising scan (conversion ablation).
-    bool zero_copy_scan = true;
     /// Fuse [Project][Filter*]Scan chains into one operator that computes
     /// the survivor mask with the vectorized compare kernels and emits one
     /// selection vector over table storage (default); false = discrete
-    /// Scan/Filter/Project operators (fusion ablation). Requires
-    /// `zero_copy_scan`.
+    /// Scan/Filter/Project operators (fusion ablation).
     bool fused_pipeline = true;
     /// Resolve ModelJoin models through the process-wide
     /// SharedModelRegistry: the first query over a (model, device) pair
@@ -69,7 +57,8 @@ class QueryEngine {
 
   /// Physical execution prep shared by the engine's own ExecutePlan and the
   /// serving layer (server/session.cc): the analyzed plan, the lowered
-  /// per-worker planner, and the morsel-mode decision.
+  /// per-worker planner, and the morsel-mode decision. A plan that is not
+  /// morsel-driven has one worker whose scans read their full tables.
   struct PhysicalPrep {
     std::unique_ptr<PhysicalPlanner> planner;
     PlanAnalysis analysis;
@@ -122,7 +111,9 @@ class QueryEngine {
   }
 
   /// Executes a pre-bound plan (used by approach drivers that build plans
-  /// programmatically); `profile` as in ExecuteQuery. The options overload
+  /// programmatically); `profile` as in ExecuteQuery. A morsel-eligible plan
+  /// with more than one worker runs on the morsel pipeline; any other plan
+  /// drains as one instance on the calling thread. The options overload
   /// runs under the given immutable snapshot (the serving layer's per-query
   /// snapshot semantics); the other snapshots the engine options.
   Result<exec::QueryResult> ExecutePlan(const LogicalOp& plan,
@@ -143,15 +134,10 @@ class QueryEngine {
   /// hardware thread otherwise.
   int EffectiveWorkers() const;
 
-  /// The engine's worker pool (shared with the native ModelJoin build),
-  /// lazily (re)created at EffectiveWorkers() threads. The raw pointer stays
-  /// valid for the engine's lifetime as long as no concurrent caller
-  /// changes `worker_threads`; concurrent callers use SharedPool.
-  ThreadPool* pool();
-
-  /// Ref-counted handle on a pool with `want` threads. Re-sizing creates a
-  /// fresh pool while in-flight queries keep their old one alive — the
-  /// thread-safe form of the lazy recreation `pool()` performs.
+  /// Ref-counted handle on the engine's worker pool, lazily (re)created
+  /// with `want` threads. Re-sizing creates a fresh pool while in-flight
+  /// queries keep their old one alive, so hold the handle for the query's
+  /// duration.
   std::shared_ptr<ThreadPool> SharedPool(int want) INDBML_EXCLUDES(pool_mu_);
 
  private:

@@ -128,19 +128,6 @@ void Table::Finalize() {
   }
 }
 
-std::vector<PartitionRange> Table::MakePartitions(int n) const {
-  std::vector<PartitionRange> out;
-  if (n <= 0) n = 1;
-  int64_t per = (num_rows_ + n - 1) / n;
-  for (int i = 0; i < n; ++i) {
-    PartitionRange r;
-    r.begin = std::min<int64_t>(static_cast<int64_t>(i) * per, num_rows_);
-    r.end = std::min<int64_t>(r.begin + per, num_rows_);
-    out.push_back(r);
-  }
-  return out;
-}
-
 int64_t Table::MemoryBytes() const {
   int64_t total = 0;
   for (const auto& c : columns_) total += c.MemoryBytes();

@@ -25,10 +25,10 @@ struct BlockStats {
   Value max;
 };
 
-/// Contiguous range of rows forming one partition of a table. Partitions are
-/// contiguous in row order, which keeps partitioned execution
-/// order-preserving (paper §4.4: partitioning on the unique id, no
-/// repartitioning needed for (ID, Node) grouping).
+/// Contiguous range of rows of a table (a scan range or a scheduling
+/// morsel, exec/morsel.h). Ranges are contiguous in row order, which keeps
+/// morsel-wise execution order-preserving (paper §4.4: partitioning on the
+/// unique id, no repartitioning needed for (ID, Node) grouping).
 struct PartitionRange {
   int64_t begin = 0;
   int64_t end = 0;  // exclusive
@@ -86,9 +86,6 @@ class Table {
   /// aggregation on id-rooted grouping keys repartitioning-free (§4.4).
   void SetUniqueIdColumn(std::string name) { unique_id_column_ = std::move(name); }
   const std::string& unique_id_column() const { return unique_id_column_; }
-
-  /// Splits the table into `n` contiguous, balanced partitions.
-  std::vector<PartitionRange> MakePartitions(int n) const;
 
   /// Total bytes held by all columns.
   int64_t MemoryBytes() const;

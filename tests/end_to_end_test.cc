@@ -154,7 +154,7 @@ TEST_F(EndToEndTest, TwoModelsInOneEngine) {
 }
 
 TEST_F(EndToEndTest, LargeMultiBlockFactTable) {
-  // Spans multiple storage blocks and all 12 partitions; checksum parity
+  // Spans multiple storage blocks and several morsels; checksum parity
   // between the native operator and the runtime-backed operator.
   sql::QueryEngine engine;
   auto fact = benchlib::MakeIrisTable("fact", 50000);

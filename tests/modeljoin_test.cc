@@ -40,14 +40,21 @@ std::map<int64_t, std::vector<float>> Reference(const nn::Model& model,
 
 struct DeviceCase {
   const char* device;
-  bool parallel;
+  bool multi_worker;
 };
 
 class ModelJoinTest : public ::testing::TestWithParam<DeviceCase> {
  protected:
   void SetUp() override {
     QueryEngine::Options options;
-    options.parallel = GetParam().parallel;
+    if (GetParam().multi_worker) {
+      // Small morsels so the few-thousand-row fact tables spread inference
+      // over every worker.
+      options.worker_threads = 4;
+      options.morsel_rows = 256;
+    } else {
+      options.worker_threads = 1;
+    }
     engine_ = std::make_unique<QueryEngine>(options);
     modeljoin::RegisterNativeModelJoin(engine_.get());
   }
@@ -133,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DeviceCase{"gpu", true}, DeviceCase{"gpu", false}),
     [](const ::testing::TestParamInfo<DeviceCase>& info) {
       return std::string(info.param.device) +
-             (info.param.parallel ? "Parallel" : "Serial");
+             (info.param.multi_worker ? "Parallel" : "Serial");
     });
 
 TEST(ModelJoinErrorsTest, RejectsPairIdModelTable) {

@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "exec/profile.h"
 #include "exec/vector.h"
 #include "mltosql/mltosql.h"
 #include "modeljoin/register.h"
@@ -114,17 +115,35 @@ TEST(EngineWorkerPoolTest, HonorsWorkerThreadOptionChanges) {
   options.worker_threads = 3;
   sql::QueryEngine engine(options);
   EXPECT_EQ(engine.EffectiveWorkers(), 3);
-  EXPECT_EQ(engine.pool()->num_threads(), 3);
+  EXPECT_EQ(engine.SharedPool(engine.EffectiveWorkers())->num_threads(), 3);
 
   options.worker_threads = 2;
   engine.set_options(options);
-  EXPECT_EQ(engine.pool()->num_threads(), 2);
+  EXPECT_EQ(engine.SharedPool(engine.EffectiveWorkers())->num_threads(), 2);
 
   options.worker_threads = 0;
   engine.set_options(options);
   EXPECT_GE(HardwareConcurrency(), 1);
   EXPECT_EQ(engine.EffectiveWorkers(), HardwareConcurrency());
-  EXPECT_EQ(engine.pool()->num_threads(), HardwareConcurrency());
+  EXPECT_EQ(engine.SharedPool(engine.EffectiveWorkers())->num_threads(),
+            HardwareConcurrency());
+}
+
+/// `worker_threads = 1` is the serial mode: a parallel-safe plan runs as one
+/// instance on the calling thread, never on more workers than configured.
+TEST(EngineWorkerPoolTest, SingleWorkerRunsSerially) {
+  sql::QueryEngine::Options options;
+  options.worker_threads = 1;
+  options.morsel_rows = 256;
+  sql::QueryEngine engine(options);
+  auto fact = MakeIdTable("fact", 5000, 1);
+  ASSERT_OK(engine.catalog()->CreateTable(fact));
+
+  ASSERT_OK_AND_ASSIGN(auto plan, engine.PlanQuery("SELECT f.id, f.x FROM fact f"));
+  exec::QueryProfile profile;
+  ASSERT_OK_AND_ASSIGN(auto result, engine.ExecutePlan(*plan, &profile));
+  EXPECT_EQ(result.num_rows, 5000);
+  EXPECT_EQ(profile.num_workers(), 1);
 }
 
 /// Asserts two results are row-for-row identical: same schema, same row
@@ -189,7 +208,7 @@ class MorselDeterminismTest : public ::testing::Test {
                                 {I(4), I(104)}});
 
     sql::QueryEngine::Options serial;
-    serial.parallel = false;
+    serial.worker_threads = 1;
     serial_ = std::make_unique<sql::QueryEngine>(serial);
 
     // Deliberately small morsels (many per worker) and more workers than the
@@ -199,13 +218,7 @@ class MorselDeterminismTest : public ::testing::Test {
     morsel.morsel_rows = 64;
     morsel_ = std::make_unique<sql::QueryEngine>(morsel);
 
-    sql::QueryEngine::Options static_part;
-    static_part.morsel_driven = false;
-    static_part.partitions = 4;
-    static_ = std::make_unique<sql::QueryEngine>(static_part);
-
-    for (sql::QueryEngine* engine :
-         {serial_.get(), morsel_.get(), static_.get()}) {
+    for (sql::QueryEngine* engine : {serial_.get(), morsel_.get()}) {
       ASSERT_OK(engine->catalog()->CreateTable(fact_));
       ASSERT_OK(engine->catalog()->CreateTable(dim_));
     }
@@ -222,7 +235,6 @@ class MorselDeterminismTest : public ::testing::Test {
   storage::TablePtr dim_;
   std::unique_ptr<sql::QueryEngine> serial_;
   std::unique_ptr<sql::QueryEngine> morsel_;
-  std::unique_ptr<sql::QueryEngine> static_;
 };
 
 TEST_F(MorselDeterminismTest, ScanFilterProject) {
@@ -254,9 +266,8 @@ TEST_F(MorselDeterminismTest, JoinThenAggregation) {
 
 /// A selection-heavy plan (filter → selection vectors over scan views,
 /// project evaluated through them) must be bit-identical whether executed
-/// serially, morsel-wise with aggressive interleaving, or with the legacy
-/// materialising scan (`zero_copy_scan = false`).
-TEST_F(MorselDeterminismTest, SelectionProducingFilterMatchesLegacyScan) {
+/// serially or morsel-wise with aggressive interleaving.
+TEST_F(MorselDeterminismTest, SelectionProducingFilterMatchesSerial) {
   const std::string query =
       "SELECT f.id, f.a * 2.0 AS a2, f.b FROM fact f "
       "WHERE f.k = 2 AND f.a >= 0.0";
@@ -264,27 +275,12 @@ TEST_F(MorselDeterminismTest, SelectionProducingFilterMatchesLegacyScan) {
   ASSERT_GT(serial_result.num_rows, 0);
   ASSERT_OK_AND_ASSIGN(auto morsel_result, morsel_->ExecuteQuery(query));
   ExpectRowIdentical(morsel_result, serial_result);
-
-  sql::QueryEngine::Options legacy;
-  legacy.parallel = false;
-  legacy.zero_copy_scan = false;
-  sql::QueryEngine legacy_engine(legacy);
-  ASSERT_OK(legacy_engine.catalog()->CreateTable(fact_));
-  ASSERT_OK_AND_ASSIGN(auto legacy_result, legacy_engine.ExecuteQuery(query));
-  ExpectRowIdentical(legacy_result, serial_result);
-}
-
-TEST_F(MorselDeterminismTest, StaticPathStillMatchesSerial) {
-  const std::string query =
-      "SELECT f.id, f.a + f.b AS e FROM fact f WHERE f.a >= 0.0";
-  ASSERT_OK_AND_ASSIGN(auto serial_result, serial_->ExecuteQuery(query));
-  ASSERT_OK_AND_ASSIGN(auto static_result, static_->ExecuteQuery(query));
-  ExpectRowIdentical(static_result, serial_result);
 }
 
 /// Skewed workload: virtually all filter survivors sit in one contiguous 10%
-/// of the table, so static partitioning gives one thread almost all the
-/// post-filter work. The morsel path must still produce serial row order.
+/// of the table, so a static split into one range per thread would give one
+/// thread almost all the post-filter work. The morsel path must still
+/// produce serial row order.
 TEST(MorselSkewTest, SkewedFilterRowIdenticalToSerial) {
   const int64_t kRows = 50000;
   auto table = std::make_shared<storage::Table>(
@@ -307,7 +303,7 @@ TEST(MorselSkewTest, SkewedFilterRowIdenticalToSerial) {
   table->SetSortedBy({"id"});
 
   sql::QueryEngine::Options serial;
-  serial.parallel = false;
+  serial.worker_threads = 1;
   sql::QueryEngine serial_engine(serial);
   ASSERT_OK(serial_engine.catalog()->CreateTable(table));
 
@@ -329,7 +325,7 @@ class ModelJoinMorselTest : public ::testing::Test {
  protected:
   void SetUp() override {
     sql::QueryEngine::Options serial;
-    serial.parallel = false;
+    serial.worker_threads = 1;
     serial_ = std::make_unique<sql::QueryEngine>(serial);
     modeljoin::RegisterNativeModelJoin(serial_.get());
 
@@ -430,7 +426,7 @@ const char* const kFusionQueries[] = {
 /// "exec.fused_scans" metrics counter).
 TEST_F(MorselDeterminismTest, FusedPipelineBitIdenticalToUnfused) {
   sql::QueryEngine::Options unfused;
-  unfused.parallel = false;
+  unfused.worker_threads = 1;
   unfused.fused_pipeline = false;
   sql::QueryEngine unfused_engine(unfused);
   ASSERT_OK(unfused_engine.catalog()->CreateTable(fact_));
@@ -470,27 +466,6 @@ TEST_F(MorselDeterminismTest, DivisionFilterStaysUnfusedAndCorrect) {
   ASSERT_GT(serial_result.num_rows, 0);
   ASSERT_OK_AND_ASSIGN(auto morsel_result, morsel_->ExecuteQuery(query));
   ExpectRowIdentical(morsel_result, serial_result);
-}
-
-/// The fused path rides on zero-copy scans: with zero_copy_scan=false the
-/// planner must fall back to the discrete operators even when
-/// fused_pipeline=true, and results stay identical.
-TEST_F(MorselDeterminismTest, FusionRequiresZeroCopyScan) {
-  sql::QueryEngine::Options legacy;
-  legacy.parallel = false;
-  legacy.zero_copy_scan = false;
-  legacy.fused_pipeline = true;
-  sql::QueryEngine legacy_engine(legacy);
-  ASSERT_OK(legacy_engine.catalog()->CreateTable(fact_));
-
-  const std::string query = "SELECT f.id, f.a FROM fact f WHERE f.a >= 0.0";
-  metrics::Counter* fused_scans =
-      metrics::Registry::Global().counter("exec.fused_scans");
-  int64_t before = fused_scans->value();
-  ASSERT_OK_AND_ASSIGN(auto legacy_result, legacy_engine.ExecuteQuery(query));
-  EXPECT_EQ(fused_scans->value(), before);
-  ASSERT_OK_AND_ASSIGN(auto fused_result, serial_->ExecuteQuery(query));
-  ExpectRowIdentical(fused_result, legacy_result);
 }
 
 /// SIMD off at runtime (the scalar ablation) must not change a single bit of

@@ -102,14 +102,16 @@ TEST(ParallelSerialEquivalenceTest, RandomQueries) {
                                   {I(3), I(103)},
                                   {I(4), I(104)}});
 
+  // Small morsels so the 3 000-row fact table spreads over every worker.
   sql::QueryEngine::Options parallel_options;
-  parallel_options.partitions = 4;
+  parallel_options.worker_threads = 4;
+  parallel_options.morsel_rows = 256;
   sql::QueryEngine parallel_engine(parallel_options);
   ASSERT_OK(parallel_engine.catalog()->CreateTable(fact));
   ASSERT_OK(parallel_engine.catalog()->CreateTable(dim));
 
   sql::QueryEngine::Options naive_options;
-  naive_options.parallel = false;
+  naive_options.worker_threads = 1;
   naive_options.optimizer.predicate_pushdown = false;
   naive_options.optimizer.join_conversion = false;
   naive_options.optimizer.projection_pruning = false;

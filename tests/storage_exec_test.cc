@@ -56,22 +56,6 @@ TEST(TableTest, BlockStats) {
   EXPECT_EQ(stats[0].max.i, t.rows_per_block() - 1);
 }
 
-TEST(TableTest, Partitions) {
-  storage::Table t("t", {{"a", DataType::kInt64}});
-  for (int64_t i = 0; i < 10; ++i) ASSERT_OK(t.AppendRow({I(i)}));
-  t.Finalize();
-  auto parts = t.MakePartitions(3);
-  ASSERT_EQ(parts.size(), 3u);
-  int64_t total = 0;
-  int64_t expect_begin = 0;
-  for (const auto& p : parts) {
-    EXPECT_EQ(p.begin, expect_begin);
-    total += p.end - p.begin;
-    expect_begin = p.end;
-  }
-  EXPECT_EQ(total, 10);
-}
-
 TEST(CatalogTest, CreateGetDrop) {
   storage::Catalog catalog;
   ASSERT_OK(catalog.CreateTable(MakeTable("t1", {{"a", DataType::kInt64}}, {})));

@@ -19,7 +19,6 @@
 #include "exec/expression.h"
 #include "exec/gather.h"
 #include "exec/scan.h"
-#include "sql/query_engine.h"
 #include "storage/table.h"
 #include "test_util.h"
 
@@ -272,54 +271,6 @@ TEST(ZeroCopyScanTest, ScanViewsKeepTableStorageAliveAfterTableIsGone) {
   int64_t sum = 0;
   for (int64_t r = 0; r < result.num_rows; ++r) sum += result.GetValue(r, 0).i;
   EXPECT_EQ(sum, 2000 * 1999 / 2);
-}
-
-TEST(ZeroCopyScanTest, LegacyMaterializedScanBitIdentical) {
-  auto table = IotaTable(5000);
-  exec::ScanPredicate pred;
-  pred.column = 0;
-  pred.op = exec::BinaryOp::kGe;
-  pred.value = storage::Value::Int64(1234);
-
-  exec::TableScanOperator zero_copy(table, {0, table->num_rows()}, {0, 1},
-                                    {pred});
-  exec::TableScanOperator legacy(table, {0, table->num_rows()}, {0, 1}, {pred},
-                                 /*zero_copy=*/false);
-  ExecContext ctx;
-  ASSERT_OK_AND_ASSIGN(auto a, exec::DrainOperator(&zero_copy, &ctx));
-  ASSERT_OK_AND_ASSIGN(auto b, exec::DrainOperator(&legacy, &ctx));
-  ASSERT_EQ(a.num_rows, b.num_rows);
-  for (int64_t r = 0; r < a.num_rows; ++r) {
-    ASSERT_EQ(a.GetValue(r, 0).i, b.GetValue(r, 0).i) << "row " << r;
-    ASSERT_EQ(a.GetValue(r, 1).f, b.GetValue(r, 1).f) << "row " << r;
-  }
-}
-
-/// End-to-end over the engine: the zero_copy_scan Options toggle changes the
-/// execution strategy but must not change a single output bit.
-TEST(ZeroCopyScanTest, EngineToggleProducesIdenticalResults) {
-  auto table = IotaTable(4000);
-  const std::string query =
-      "SELECT t.a, t.x * 2.0 AS y FROM t WHERE t.a % 7 = 0";
-
-  sql::QueryEngine::Options on;
-  on.parallel = false;
-  sql::QueryEngine engine_on(on);
-  ASSERT_OK(engine_on.catalog()->CreateTable(table));
-
-  sql::QueryEngine::Options off = on;
-  off.zero_copy_scan = false;
-  sql::QueryEngine engine_off(off);
-  ASSERT_OK(engine_off.catalog()->CreateTable(table));
-
-  ASSERT_OK_AND_ASSIGN(auto result_on, engine_on.ExecuteQuery(query));
-  ASSERT_OK_AND_ASSIGN(auto result_off, engine_off.ExecuteQuery(query));
-  ASSERT_EQ(result_on.num_rows, result_off.num_rows);
-  ASSERT_GT(result_on.num_rows, 0);
-  for (int64_t r = 0; r < result_on.num_rows; ++r) {
-    ASSERT_EQ(result_on.GetValue(r, 0).i, result_off.GetValue(r, 0).i);
-    ASSERT_EQ(result_on.GetValue(r, 1).f, result_off.GetValue(r, 1).f);
-  }
 }
 
 }  // namespace
