@@ -3,15 +3,15 @@ holding an engine mutex.
 
 Clang's `-Wthread-safety` proves *which* lock protects *what*; it cannot
 say that a critical section is too fat. Calling `Execute*`, running
-inference, or blocking on `WaitIdle`/`ParallelFor`/`Barrier::Wait`/
+inference, or blocking on `WaitIdle`/`ParallelFor`/a bare `Wait()`/
 `thread::join` while holding a mutex either serialises the whole engine
 behind one lock or deadlocks outright (the blocked-on workers may need the
 same lock). Critical sections stay small: copy what you need, unlock, then
 do the heavy work.
 
 `CondVar::Wait(mu)` is NOT flagged — releasing the mutex while sleeping is
-the whole point of a condition variable; the pass distinguishes it from
-`Barrier::Wait()` by the mutex argument.
+the whole point of a condition variable; the pass distinguishes it from a
+rendezvous-style `Wait()` (a barrier or latch) by the mutex argument.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ BLOCKING_RE = re.compile(
     r"\b(?:"
     r"WaitIdle|ParallelFor|"                       # pool barriers
     r"ExecuteQuery|ExecutePlan|ExecutePipeline|"   # query execution
-    r"BuildPartition|"                             # barrier-synchronised build
     r"trt_session_run|InferChunk|"                 # inference entry points
     r"RunInference|Forward"
     r")\s*\("
     r"|\.\s*Execute\s*\(|->\s*Execute\s*\("
     r"|\.\s*join\s*\(\s*\)"                        # thread join
-    r"|\.\s*Wait\s*\(\s*\)")                       # Barrier::Wait (no mutex arg,
-                                                   # unlike CondVar::Wait(mu))
+    r"|\.\s*Wait\s*\(\s*\)")                       # barrier/latch Wait (no mutex
+                                                   # arg, unlike CondVar::Wait(mu))
 
 
 class LockScopePass(Pass):

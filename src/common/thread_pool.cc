@@ -48,14 +48,25 @@ void ThreadPool::WaitIdle() {
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
   std::atomic<int> next{0};
-  int tasks = std::min<int>(n, num_threads());
+  const int tasks = std::min<int>(n, num_threads());
+  // Completion is counted per call. WaitIdle() would also wait for tasks
+  // other client threads queued, so two callers sharing the pool would each
+  // wait on the other's work.
+  Mutex done_mu;
+  CondVar done_cv;
+  int remaining = tasks;
   for (int t = 0; t < tasks; ++t) {
     Submit([&] {
       int i;
       while ((i = next.fetch_add(1)) < n) fn(i);
+      // Notify under the lock: once the caller sees zero it returns and
+      // destroys done_cv.
+      MutexLock lock(done_mu);
+      if (--remaining == 0) done_cv.NotifyAll();
     });
   }
-  WaitIdle();
+  MutexLock lock(done_mu);
+  while (remaining != 0) done_cv.Wait(done_mu);
 }
 
 void ThreadPool::WorkerLoop(int worker_index) {

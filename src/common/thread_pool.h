@@ -18,8 +18,9 @@ int HardwareConcurrency();
 /// Fixed-size worker pool.
 ///
 /// The query engine keeps one shared pool sized to its pipeline worker
-/// count and submits one task per pipeline worker. `WaitIdle()` blocks
-/// until every submitted task has finished.
+/// count; concurrent queries share it. `ParallelFor` waits only for the
+/// caller's own tasks, so two client threads never wait on each other's
+/// work. `WaitIdle()` blocks until every submitted task has finished.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -38,7 +39,10 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Convenience: run `fn(i)` for i in [0, n) across the pool and wait.
+  /// Runs `fn(i)` for i in [0, n) across the pool and returns once every
+  /// index has run. Waits for this call's tasks only, not for tasks other
+  /// threads submitted; the tasks' writes are visible to the caller on
+  /// return. Never call from a pool worker.
   void ParallelFor(int n, const std::function<void(int)>& fn)
       INDBML_EXCLUDES(mu_);
 
@@ -52,33 +56,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;  ///< set in ctor, joined in dtor only
   int active_ INDBML_GUARDED_BY(mu_) = 0;
   bool shutdown_ INDBML_GUARDED_BY(mu_) = false;
-};
-
-/// Reusable rendezvous point: every participating thread calls Wait() and
-/// blocks until all `count` threads arrived. Used by the parallel ModelJoin
-/// build phase (paper §5.2: "a barrier before leaving the build phase").
-class Barrier {
- public:
-  explicit Barrier(int count) : threshold_(count), count_(count) {}
-
-  void Wait() INDBML_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    int gen = generation_;
-    if (--count_ == 0) {
-      ++generation_;
-      count_ = threshold_;
-      cv_.NotifyAll();
-      return;
-    }
-    while (gen == generation_) cv_.Wait(mu_);
-  }
-
- private:
-  Mutex mu_;
-  CondVar cv_;
-  const int threshold_;
-  int count_ INDBML_GUARDED_BY(mu_);
-  int generation_ INDBML_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace indbml

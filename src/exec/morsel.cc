@@ -77,9 +77,6 @@ Result<QueryResult> ExecutePipeline(const WorkerPlanFactory& factory,
       return;
     }
     Operator* root = op.ValueOrDie().get();
-    // Open unconditionally — even when the source is already dry or aborted
-    // — so every worker participates in Open-time barriers (ModelJoin
-    // build, paper §5.2).
     Status status = root->Open(&ctx);
     if (status.ok()) {
       collector.SetSchema(root->output_names(), root->output_types());
@@ -98,9 +95,6 @@ Result<QueryResult> ExecutePipeline(const WorkerPlanFactory& factory,
   };
 
   if (pool != nullptr && num_workers > 1) {
-    INDBML_CHECK(num_workers <= pool->num_threads())
-        << "pipeline workers exceed pool capacity (Open barriers would "
-           "deadlock)";
     pool->ParallelFor(num_workers, run_worker);
   } else {
     for (int w = 0; w < num_workers; ++w) run_worker(w);

@@ -79,9 +79,9 @@ class MorselSource {
 /// \brief Reassembles per-morsel output batches into global row order.
 ///
 /// One slot per morsel, written by exactly the worker that claimed that
-/// morsel (slots are disjoint, so no per-slot locking; the executor's
-/// join/WaitIdle provides the happens-before edge to Assemble). The result
-/// schema is recorded once, first worker wins.
+/// morsel (slots are disjoint, so no per-slot locking; the return of the
+/// executor's ParallelFor provides the happens-before edge to Assemble).
+/// The result schema is recorded once, first worker wins.
 class ResultCollector {
  public:
   explicit ResultCollector(int64_t num_morsels)
@@ -128,7 +128,8 @@ class ResultCollector {
 
   /// Deliberately *not* guarded: slot `i` is written only by the single
   /// worker that claimed morsel `i` (slots are disjoint), and Assemble runs
-  /// after the executor's WaitIdle, which provides the happens-before edge.
+  /// after the executor's ParallelFor returned, which provides the
+  /// happens-before edge.
   std::vector<Batch> batches_;
   Mutex mu_;
   bool have_schema_ INDBML_GUARDED_BY(mu_) = false;
@@ -177,16 +178,13 @@ using WorkerPlanFactory = std::function<Result<OperatorPtr>(int worker)>;
 
 /// \brief Runs `num_workers` private plans over a shared MorselSource.
 ///
-/// Each worker Opens its plan once (Open participates in cross-worker
-/// barriers such as the ModelJoin build, so it runs even when the source is
-/// already dry), then loops: claim a morsel, publish its range via the
-/// ExecContext, Rewind the plan, drain it, hand the tagged chunks to the
-/// ResultCollector. On error the worker aborts the source so the others
-/// stop pulling. Plans always get Closed.
+/// Each worker Opens its plan once, then loops: claim a morsel, publish its
+/// range via the ExecContext, Rewind the plan, drain it, hand the tagged
+/// chunks to the ResultCollector. On error the worker aborts the source so
+/// the others stop pulling. Plans always get Closed. No worker's Open waits
+/// on another worker, so the workers need not run concurrently.
 ///
 /// Runs on `pool` when provided and num_workers > 1, serially otherwise.
-/// `num_workers` must not exceed `pool->num_threads()` — Open-time barriers
-/// require all workers to run concurrently.
 Result<QueryResult> ExecutePipeline(const WorkerPlanFactory& factory,
                                     MorselSource* source, int num_workers,
                                     storage::Catalog* catalog, ThreadPool* pool);

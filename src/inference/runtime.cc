@@ -253,9 +253,6 @@ Status InferenceRuntime::Infer(const SharedModel& model, Scratch* s,
 Status InferenceRuntime::Run(const SharedModel& model, const float* input,
                              int64_t n, float* output) {
   if (n == 0) return Status::OK();
-  if (!model.built()) {
-    return Status::ExecutionError("InferenceRuntime::Run on an unbuilt model");
-  }
   const nn::ModelMeta& meta = model.meta();
   const int64_t d = meta.input_width();
   const int64_t o = meta.output_dim();

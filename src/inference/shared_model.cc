@@ -1,11 +1,13 @@
 #include "inference/shared_model.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "common/config.h"
-#include "common/logging.h"
+#include "common/mutex.h"
 #include "common/string_util.h"
+#include "common/trace.h"
 #include "common/validation.h"
 #include "inference/validate.h"
 
@@ -58,14 +60,11 @@ int64_t NextModelId() {
 }  // namespace
 
 SharedModel::SharedModel(nn::ModelMeta meta, device::Device* device,
-                         int num_workers, int vector_size)
+                         int vector_size)
     : meta_(std::move(meta)),
       device_(device),
-      num_workers_(num_workers),
       vector_size_(vector_size),
-      model_id_(NextModelId()),
-      build_barrier_(num_workers),
-      upload_barrier_(num_workers) {
+      model_id_(NextModelId()) {
   // Unique-node-id layout: input nodes first for dense-input models.
   const bool dense_input =
       meta_.layers.empty() || meta_.layers[0].kind == LayerKind::kDense;
@@ -202,7 +201,7 @@ Status SharedModel::ParsePartition(const storage::Table& model_table,
   return Status::OK();
 }
 
-void SharedModel::UploadToDevice() {
+Status SharedModel::Finish() {
   const bool gpu = device_->is_gpu();
   for (size_t li = 0; li < meta_.layers.size(); ++li) {
     const LayerMeta& layer = meta_.layers[li];
@@ -232,64 +231,62 @@ void SharedModel::UploadToDevice() {
                             layer.units * vector_size_);
     }
   }
+  if (validation::Enabled()) return ValidateSharedModelShape(*this);
+  return Status::OK();
 }
 
-Status SharedModel::BuildPartition(const storage::Table& model_table, int worker) {
-  // Work-stealing build: every worker claims fixed-size row ranges from the
-  // shared cursor until the table is exhausted. ParsePartition writes are
-  // disjoint per model-table row, so claimed ranges never conflict.
-  const int64_t n = model_table.num_rows();
-  const int64_t step = kRowsPerBlock;
-  for (;;) {
-    if (failed_.load()) break;
-    int64_t begin = build_cursor_.fetch_add(step);
-    if (begin >= n) break;
-    storage::PartitionRange range{begin, std::min(begin + step, n)};
-    Status status = ParsePartition(model_table, range);
+Result<std::shared_ptr<SharedModel>> SharedModel::FromTable(
+    nn::ModelMeta meta, device::Device* device, int vector_size,
+    const storage::Table& model_table, ThreadPool* pool) {
+  trace::Span span("modeljoin.build");
+  std::shared_ptr<SharedModel> model(new SharedModel(std::move(meta), device,
+                                                     vector_size));
+  // Block-wise parse: each task claims kRowsPerBlock-row ranges through
+  // ParallelFor's shared index. Parsed writes are disjoint per model-table
+  // row, so claimed ranges never conflict, and ParallelFor's return makes
+  // them visible to this thread.
+  const int64_t rows = model_table.num_rows();
+  const int blocks = static_cast<int>((rows + kRowsPerBlock - 1) / kRowsPerBlock);
+  std::atomic<bool> failed{false};
+  Mutex error_mu;
+  Status first_error;
+  auto parse_block = [&](int block) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    const int64_t begin = int64_t{block} * kRowsPerBlock;
+    Status status = model->ParsePartition(
+        model_table, {begin, std::min(begin + kRowsPerBlock, rows)});
     if (!status.ok()) {
-      RecordFailure(status);
-      break;
+      MutexLock lock(error_mu);
+      if (first_error.ok()) first_error = status;
+      // lock-free: only stops further claims early; the error itself is
+      // read under error_mu after ParallelFor returned.
+      failed.store(true, std::memory_order_relaxed);
     }
+  };
+  if (pool != nullptr && blocks > 1) {
+    pool->ParallelFor(blocks, parse_block);
+  } else {
+    for (int block = 0; block < blocks; ++block) parse_block(block);
   }
-  // All participants must reach the barrier even on failure, or the others
-  // would deadlock (paper §5.2: single synchronisation point).
-  build_barrier_.Wait();
-  if (failed_.load()) return FailureStatus();
-  // One thread moves the finished model to the device (§5.2 optimisation:
-  // build on host memory, upload once at the end).
-  if (worker == 0) {
-    UploadToDevice();
-    if (validation::Enabled()) {
-      Status shape = ValidateSharedModelShape(*this);
-      if (!shape.ok()) RecordFailure(shape);
-    }
+  {
+    MutexLock lock(error_mu);
+    INDBML_RETURN_NOT_OK(first_error);
   }
-  upload_barrier_.Wait();
-  if (failed_.load()) return FailureStatus();
-  // Idempotent across the workers leaving the barrier: all of them observed
-  // the completed upload, so any of them may publish the model as built.
-  built_.store(true, std::memory_order_release);
-  return Status::OK();
+  INDBML_RETURN_NOT_OK(model->Finish());
+  return model;
 }
 
-Status SharedModel::BuildSerial(const storage::Table& model_table) {
-  INDBML_CHECK(num_workers_ == 1)
-      << "BuildSerial is the registry's single-builder path; barrier-built "
-         "models must use BuildPartition";
-  INDBML_RETURN_NOT_OK(
-      ParsePartition(model_table, {0, model_table.num_rows()}));
-  UploadToDevice();
-  if (validation::Enabled()) {
-    INDBML_RETURN_NOT_OK(ValidateSharedModelShape(*this));
-  }
-  built_.store(true, std::memory_order_release);
-  return Status::OK();
+Result<std::shared_ptr<SharedModel>> SharedModel::FromModel(
+    nn::ModelMeta meta, device::Device* device, int vector_size,
+    const nn::Model& model) {
+  std::shared_ptr<SharedModel> shared(new SharedModel(std::move(meta), device,
+                                                      vector_size));
+  INDBML_RETURN_NOT_OK(shared->CopyWeights(model));
+  INDBML_RETURN_NOT_OK(shared->Finish());
+  return shared;
 }
 
-Status SharedModel::BuildFromModel(const nn::Model& model) {
-  INDBML_CHECK(num_workers_ == 1)
-      << "BuildFromModel is a single-builder path; barrier-built models must "
-         "use BuildPartition";
+Status SharedModel::CopyWeights(const nn::Model& model) {
   if (model.layers().size() != meta_.layers.size()) {
     return Status::InvalidArgument(
         "model layer count does not match the meta this SharedModel was "
@@ -334,27 +331,7 @@ Status SharedModel::BuildFromModel(const nn::Model& model) {
       }
     }
   }
-  UploadToDevice();
-  if (validation::Enabled()) {
-    INDBML_RETURN_NOT_OK(ValidateSharedModelShape(*this));
-  }
-  built_.store(true, std::memory_order_release);
   return Status::OK();
-}
-
-void SharedModel::RecordFailure(const Status& status) {
-  {
-    MutexLock lock(failure_mu_);
-    // First failure wins: a second worker failing concurrently must not
-    // overwrite the root-cause message the first one recorded.
-    if (failure_message_.empty()) failure_message_ = status.ToString();
-  }
-  failed_.store(true);
-}
-
-Status SharedModel::FailureStatus() const {
-  MutexLock lock(failure_mu_);
-  return Status::ExecutionError("ModelJoin build failed: " + failure_message_);
 }
 
 Status ValidateSharedModelShape(const SharedModel& model) {

@@ -1,14 +1,11 @@
 #ifndef INDBML_INFERENCE_SHARED_MODEL_H_
 #define INDBML_INFERENCE_SHARED_MODEL_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "device/device.h"
 #include "nn/model.h"
@@ -17,58 +14,42 @@
 
 namespace indbml::inference {
 
-/// \brief The shared model of the native ModelJoin (paper §5.2), now owned
-/// by the inference layer so every approach runs the same forward pass.
+/// \brief The shared model of the native ModelJoin (paper §5.2), owned by
+/// the inference layer so every approach runs the same forward pass.
 ///
-/// One instance exists per query (or one per (model, device) pair under the
-/// serving registry); all execution workers fill disjoint parts of the
-/// shared weight matrices from the model table and synchronise on a barrier
-/// before inference starts. Build work is claimed morsel-wise from a shared
-/// atomic cursor (mirroring exec/morsel.h), so a worker that finishes its
-/// rows early steals more instead of idling at the barrier.
-/// Weights are stored *transposed* ([units x input] row-major) and biases
-/// replicated into [units x vectorsize] matrices (§5.4) so the per-chunk
-/// inference is plain GEMM + one large addition.
+/// A SharedModel is complete and immutable once created: the two factories
+/// below build it, and every later reader (operator instances of one query,
+/// or every query under the serving registry) only reads it. Weights are
+/// stored *transposed* ([units x input] row-major) and biases replicated
+/// into [units x vectorsize] matrices (§5.4) so the per-chunk inference is
+/// plain GEMM + one large addition.
 ///
-/// On a GPU device the build writes host staging buffers; after the barrier
-/// one thread uploads the finished model to device memory (the §5.2
-/// optimisation avoiding fine-grained transfers).
+/// On a GPU device the build writes host staging buffers and then uploads
+/// the finished model to device memory once (the §5.2 optimisation
+/// avoiding fine-grained transfers).
 class SharedModel {
  public:
-  /// `num_workers` build participants will call BuildPartition.
-  SharedModel(nn::ModelMeta meta, device::Device* device, int num_workers,
-              int vector_size);
+  /// The §5.2 parallel build from the relational model table
+  /// (unique-node-id representation, 14 columns). Pool tasks claim
+  /// kRowsPerBlock row ranges and parse them into the host weights; the
+  /// first parse error wins and stops further claims. The upload and the
+  /// INDBML_VALIDATE shape check then run on the calling thread. With
+  /// `pool == nullptr` the parse runs serially on the calling thread.
+  static Result<std::shared_ptr<SharedModel>> FromTable(
+      nn::ModelMeta meta, device::Device* device, int vector_size,
+      const storage::Table& model_table, ThreadPool* pool);
+
+  /// Builds from in-memory nn::Model weights (the mlruntime path: no
+  /// relational model table involved). Transposes the row-major kernels
+  /// into the [units x input] layout and replicates biases, then uploads.
+  static Result<std::shared_ptr<SharedModel>> FromModel(
+      nn::ModelMeta meta, device::Device* device, int vector_size,
+      const nn::Model& model);
+
   ~SharedModel();
 
   SharedModel(const SharedModel&) = delete;
   SharedModel& operator=(const SharedModel&) = delete;
-
-  /// Participates in the parallel build: claims row ranges of `model_table`
-  /// (unique-node-id relational representation, 14 columns) from the shared
-  /// build cursor and parses them into the shared weights, then waits on
-  /// the build barrier. Every worker must call this exactly once; the call
-  /// returns only after the whole model is built (and uploaded to the
-  /// device). `worker` identifies the caller; worker 0 performs the upload.
-  Status BuildPartition(const storage::Table& model_table, int worker);
-
-  /// Builds the whole model on the calling thread — the registry path
-  /// (modeljoin/model_registry.h): the first query to need a (model,
-  /// device) pair builds it once, every later query block-shares the
-  /// finished weights. No barrier is involved, so the instance must have
-  /// been constructed with `num_workers` == 1. Marks the model built; after
-  /// an OK return, ModelJoinOperator::Open skips its build phase entirely.
-  Status BuildSerial(const storage::Table& model_table);
-
-  /// Builds directly from in-memory nn::Model weights (the mlruntime path:
-  /// no relational model table involved). Transposes the row-major kernels
-  /// into the [units x input] layout and replicates biases, then uploads.
-  /// Requires `num_workers` == 1; marks the model built.
-  Status BuildFromModel(const nn::Model& model);
-
-  /// True once the weights (and device upload) are complete and immutable.
-  /// Release/acquire-paired with the end of BuildSerial, so an operator
-  /// observing true also observes the finished weights.
-  bool built() const { return built_.load(std::memory_order_acquire); }
 
   const nn::ModelMeta& meta() const { return meta_; }
   device::Device* device() const { return device_; }
@@ -81,8 +62,8 @@ class SharedModel {
   /// different versions are never coalesced into one batch.
   int64_t model_id() const { return model_id_; }
 
-  /// Device pointers, valid after BuildPartition returned OK.
-  /// Dense layer li: kernel() is [units x input_dim] (transposed).
+  /// Device pointers. Dense layer li: kernel() is [units x input_dim]
+  /// (transposed).
   const float* dense_kernel(size_t li) const { return layers_[li].w[0]; }
   const float* dense_bias_matrix(size_t li) const { return layers_[li].bias_mat[0]; }
   /// Recurrent-layer gate weights (LSTM g in [0,4), GRU g in [0,3)):
@@ -108,8 +89,8 @@ class SharedModel {
     int64_t bias_size = 0;
   };
 
-  /// Host staging buffers the build phase writes into (owned storage;
-  /// uploaded to the device buffers after the build barrier).
+  /// Host staging buffers the build writes into (owned storage; uploaded
+  /// to the device buffers once the parse is complete).
   struct HostBuffers {
     std::vector<float> w[nn::kNumGates];
     std::vector<float> u[nn::kNumGates];
@@ -119,21 +100,21 @@ class SharedModel {
   /// Shape-invariant check run at build-phase exit under INDBML_VALIDATE=1.
   friend Status ValidateSharedModelShape(const SharedModel& model);
 
+  SharedModel(nn::ModelMeta meta, device::Device* device, int vector_size);
+
   /// Locates the layer owning node id `node`; kept in `first_node_` order.
   Status LocateLayer(int64_t node, size_t* layer_index) const;
 
   Status ParsePartition(const storage::Table& model_table,
                         storage::PartitionRange range);
-  void UploadToDevice();
-
-  /// Marks the build failed, keeping the first recorded message.
-  void RecordFailure(const Status& status) INDBML_EXCLUDES(failure_mu_);
-  /// The build-failed status carrying the first failure's message.
-  Status FailureStatus() const INDBML_EXCLUDES(failure_mu_);
+  /// Fills the host weights from in-memory nn::Model weights.
+  Status CopyWeights(const nn::Model& model);
+  /// Uploads the host weights to the device (replicating the biases) and
+  /// runs the INDBML_VALIDATE shape check.
+  Status Finish();
 
   nn::ModelMeta meta_;
   device::Device* device_;
-  int num_workers_;
   int vector_size_;
   int64_t model_id_;
 
@@ -143,23 +124,6 @@ class SharedModel {
   std::vector<HostBuffers> host_;     ///< staging (owned host storage)
   std::vector<LayerBuffers> layers_;  ///< device buffers (== host on CPU)
   int64_t device_bytes_ = 0;
-
-  /// Next unclaimed model-table row of the work-stealing build phase.
-  /// lock-free: relaxed-equivalent fetch_add hands each row range to exactly
-  /// one worker; the parsed weights become visible to every worker through
-  /// the build barrier, not through this cursor.
-  std::atomic<int64_t> build_cursor_{0};
-  Barrier build_barrier_;
-  Barrier upload_barrier_;
-  /// lock-free: sticky failure flag; workers poll it to stop claiming work
-  /// early. The barrier orders it before the post-build checks.
-  std::atomic<bool> failed_{false};
-  /// lock-free: set (release) once by BuildSerial after upload + validation;
-  /// read (acquire) by every operator Open deciding whether to build.
-  std::atomic<bool> built_{false};
-  mutable Mutex failure_mu_;
-  /// First failure wins; later failures keep the original message.
-  std::string failure_message_ INDBML_GUARDED_BY(failure_mu_);
 };
 
 }  // namespace indbml::inference

@@ -45,9 +45,9 @@ Result<std::unique_ptr<Session>> Session::Create(const nn::Model& model,
   Impl& impl = *session->impl_;
   impl.device = device != nullptr ? device : DefaultRuntimeDevice(device_name);
   impl.meta = nn::MetaOf(model, "session");
-  impl.model = std::make_shared<inference::SharedModel>(
-      impl.meta, impl.device, /*num_workers=*/1, kDefaultVectorSize);
-  INDBML_RETURN_NOT_OK(impl.model->BuildFromModel(model));
+  INDBML_ASSIGN_OR_RETURN(
+      impl.model, inference::SharedModel::FromModel(impl.meta, impl.device,
+                                                    kDefaultVectorSize, model));
   return session;
 }
 

@@ -9,6 +9,8 @@
 
 namespace indbml::modeljoin {
 
+using inference::SharedModel;
+
 namespace {
 
 /// A registry entry leaving the registry takes its memoized predictions
@@ -93,14 +95,14 @@ Result<std::shared_ptr<SharedModel>> SharedModelRegistry::GetOrBuild(
 
   // Build outside the lock: concurrent queries over *other* models proceed;
   // queries over this model wait on the condvar above.
-  auto model = std::make_shared<SharedModel>(meta, device, /*num_workers=*/1,
-                                             vector_size);
-  Status status = model->BuildSerial(*model_table);
+  Result<std::shared_ptr<SharedModel>> built = SharedModel::FromTable(
+      meta, device, vector_size, *model_table, /*pool=*/nullptr);
+  Status status = built.status();
   RegistryCounter("builds")->Increment();
 
   MutexLock lock(mu_);
   entry->status = status;
-  entry->model = status.ok() ? std::move(model) : nullptr;
+  entry->model = status.ok() ? std::move(built).ValueOrDie() : nullptr;
   entry->ready = true;
   if (!status.ok()) {
     // Failed builds are not cached: drop the entry (if it is still ours)

@@ -9,7 +9,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "modeljoin/shared_model.h"
+#include "inference/shared_model.h"
 
 namespace indbml::modeljoin {
 
@@ -21,9 +21,8 @@ namespace indbml::modeljoin {
 /// build cost, which compounds linearly under concurrent load. The registry
 /// lifts the model out of per-query state (MorphingDB's model-management
 /// idea): the first query over a (model, device) pair builds it once via
-/// SharedModel::BuildSerial, every concurrent and later query block-shares
-/// the finished weights, and ModelJoinOperator::Open on a registry model is
-/// barrier-free (required by the shared executor's lazy instantiation).
+/// SharedModel::FromTable, and every concurrent and later query
+/// block-shares the finished weights.
 ///
 /// Concurrency: lookups are single-flight. The first caller inserts a
 /// pending entry and builds outside the lock; callers that race it wait on
@@ -53,7 +52,7 @@ class SharedModelRegistry {
   /// (once, serially, on the calling thread) on miss. Blocks while another
   /// thread is building the same entry. A failed build is removed, so a
   /// later call retries.
-  Result<std::shared_ptr<SharedModel>> GetOrBuild(
+  Result<std::shared_ptr<inference::SharedModel>> GetOrBuild(
       const nn::ModelMeta& meta, device::Device* device,
       const std::string& device_name, storage::TablePtr model_table,
       int vector_size) INDBML_EXCLUDES(mu_);
@@ -76,7 +75,8 @@ class SharedModelRegistry {
   /// loop. The entry is shared_ptr-held so an invalidation racing a build
   /// cannot free it under the builder.
   struct Entry {
-    std::shared_ptr<SharedModel> model;  ///< null until ready && status.ok()
+    /// Null until ready && status.ok().
+    std::shared_ptr<inference::SharedModel> model;
     Status status;                       ///< build outcome, valid once ready
     storage::TablePtr table;             ///< model table the build consumed
     bool ready = false;

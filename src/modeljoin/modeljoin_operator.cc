@@ -11,22 +11,16 @@
 
 namespace indbml::modeljoin {
 
-ModelJoinOperator::ModelJoinOperator(exec::OperatorPtr child,
-                                     std::shared_ptr<SharedModel> model,
-                                     storage::TablePtr model_table,
-                                     std::vector<int> input_column_indexes,
-                                     std::vector<std::string> prediction_names,
-                                     int worker,
-                                     inference::InferenceOptions inference)
+ModelJoinOperator::ModelJoinOperator(
+    exec::OperatorPtr child, std::shared_ptr<inference::SharedModel> model,
+    std::vector<int> input_column_indexes,
+    std::vector<std::string> prediction_names,
+    inference::InferenceOptions inference)
     : child_(std::move(child)),
       model_(std::move(model)),
-      model_table_(std::move(model_table)),
       input_columns_(std::move(input_column_indexes)),
-      worker_(worker),
       inference_(inference),
       rows_metric_(metrics::Registry::Global().counter("modeljoin.rows")),
-      build_micros_metric_(
-          metrics::Registry::Global().histogram("modeljoin.build_micros")),
       convert_micros_metric_(
           metrics::Registry::Global().histogram("modeljoin.convert_micros")),
       infer_micros_metric_(
@@ -44,28 +38,12 @@ ModelJoinOperator::~ModelJoinOperator() = default;
 Status ModelJoinOperator::Open(exec::ExecContext* ctx) {
   INDBML_RETURN_NOT_OK(child_->Open(ctx));
 
-  // Build phase: claim and parse model-table rows into the shared model,
-  // synchronising with the other workers. A registry-shared model
-  // (modeljoin/model_registry.h) arrives already built — the build was paid
-  // once by the first query over this (model, device) pair — so Open is
-  // barrier-free and this operator can be instantiated lazily by a shared
-  // executor without deadlocking on absent build partners.
-  if (!model_->built()) {
-    trace::Span span("modeljoin.build");
-    Stopwatch build_watch;
-    INDBML_RETURN_NOT_OK(model_->BuildPartition(*model_table_, worker_));
-    int64_t nanos = build_watch.ElapsedNanos();
-    build_micros_metric_->Record(nanos / 1000);
-    if (ctx->active_stats != nullptr) ctx->active_stats->AddPhase("build", nanos);
-  }
-
   // Host staging for one vector of rows.
   const nn::ModelMeta& meta = model_->meta();
   const int64_t vs = model_->vector_size();
   input_staging_.resize(
       static_cast<size_t>(std::max<int64_t>(1, meta.input_width()) * vs));
   output_staging_.resize(static_cast<size_t>(meta.output_dim() * vs));
-  opened_ = true;
   return Status::OK();
 }
 

@@ -23,23 +23,29 @@ void RegisterNativeModelJoin(sql::QueryEngine* engine, DeviceProvider provider) 
     if (device == nullptr) {
       return Status::InvalidArgument("unknown ModelJoin device: " + args.device);
     }
+    // Either way the model is complete when the factory returns.
+    std::shared_ptr<inference::SharedModel> model;
     if (args.shared) {
       // Serving path: resolve through the process-wide registry so
-      // concurrent queries over the same (model, device) build once and the
-      // operator's Open is barrier-free.
+      // concurrent queries over the same (model, device) build once.
       INDBML_ASSIGN_OR_RETURN(
-          auto model, SharedModelRegistry::Global().GetOrBuild(
-                          args.meta, device, args.device, args.model_table,
-                          kDefaultVectorSize));
-      return std::shared_ptr<void>(std::move(model));
+          model, SharedModelRegistry::Global().GetOrBuild(
+                     args.meta, device, args.device, args.model_table,
+                     kDefaultVectorSize));
+    } else {
+      // The paper's per-query build (§5.2), parsed on the build pool.
+      INDBML_ASSIGN_OR_RETURN(
+          model, inference::SharedModel::FromTable(
+                     args.meta, device, kDefaultVectorSize, *args.model_table,
+                     args.build_pool));
     }
-    return std::shared_ptr<void>(std::make_shared<SharedModel>(
-        args.meta, device, args.num_workers, kDefaultVectorSize));
+    return std::shared_ptr<void>(std::move(model));
   };
 
   sql::ModelJoinOperatorFactory operator_factory =
       [](sql::ModelJoinPhysicalArgs args) -> Result<exec::OperatorPtr> {
-    auto model = std::static_pointer_cast<SharedModel>(args.shared_state);
+    auto model =
+        std::static_pointer_cast<inference::SharedModel>(args.shared_state);
     // The SQL layer carries the knobs as a plain struct (it sits below
     // src/inference in the include layering); convert at this boundary.
     inference::InferenceOptions inference;
@@ -47,9 +53,9 @@ void RegisterNativeModelJoin(sql::QueryEngine* engine, DeviceProvider provider) 
     inference.max_batch_rows = args.inference.max_batch_rows;
     inference.use_cache = args.inference.result_cache;
     return exec::OperatorPtr(std::make_unique<ModelJoinOperator>(
-        std::move(args.child), std::move(model), std::move(args.model_table),
+        std::move(args.child), std::move(model),
         std::move(args.input_column_indexes), std::move(args.prediction_names),
-        args.worker, inference));
+        inference));
   };
 
   engine->SetModelJoinFactories(std::move(state_factory),

@@ -118,12 +118,11 @@ class QueryHandle {
 /// kResourceExhausted. The wait-queue depth is exported as the
 /// server.queue_depth gauge (the ISSUE's overload signal).
 ///
-/// Worker-plan instances are created and Opened lazily on worker threads.
-/// Plans whose Open synchronises across instances (the per-query ModelJoin
-/// build barrier) must not be submitted with num_instances > 1 — the
-/// serving session guarantees this by routing ModelJoins through the
-/// pre-built SharedModelRegistry (barrier-free Open) or forcing a serial
-/// job (see session.cc).
+/// Worker-plan instances are created and Opened lazily on worker threads,
+/// so an instance's Open must never wait on another instance. None does:
+/// ModelJoin models are complete before the job is submitted (see
+/// session.cc), whether they come from the SharedModelRegistry or from a
+/// per-query build.
 class SharedExecutor {
  public:
   struct Options {

@@ -9,22 +9,6 @@
 
 namespace indbml::server {
 
-namespace {
-
-/// True if any node of the plan is a ModelJoin. Without shared models such
-/// plans must run single-instance: the per-query build barrier requires all
-/// worker instances inside Open concurrently, which the shared executor's
-/// lazy opens cannot guarantee.
-bool PlanHasModelJoin(const sql::LogicalOp& node) {
-  if (node.kind == sql::LogicalKind::kModelJoin) return true;
-  for (const auto& child : node.children) {
-    if (child != nullptr && PlanHasModelJoin(*child)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 Session::Session(QueryServer* server, sql::QueryEngine::Options options)
     : server_(server), options_(std::move(options)) {}
 
@@ -74,13 +58,13 @@ Result<std::shared_ptr<QueryHandle>> Session::SubmitPlan(
     std::shared_ptr<const sql::LogicalOp> plan,
     const sql::QueryEngine::Options& opts, int priority) {
   sql::QueryEngine* engine = server_->engine();
-  const bool single_instance =
-      !opts.shared_models && PlanHasModelJoin(*plan);
-  const int max_workers =
-      single_instance ? 1 : server_->executor()->num_threads();
-
+  // The ModelJoin build phase runs serially on this submitting thread: the
+  // executor's threads never return from their worker loops, so there is
+  // no pool to parse on. Registry builds run the same way.
   INDBML_ASSIGN_OR_RETURN(
-      auto prep, engine->PreparePhysical(*plan, opts, max_workers, nullptr));
+      auto prep,
+      engine->PreparePhysical(*plan, opts, server_->executor()->num_threads(),
+                              /*build_pool=*/nullptr, /*profile=*/nullptr));
 
   // The job may outlive this call (non-blocking submit): the factory keeps
   // the planner and the cached logical plan alive until the query finishes.

@@ -2,6 +2,8 @@
 
 #include <unordered_map>
 
+#include "common/metrics.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/validation.h"
 #include "exec/aggregate.h"
@@ -78,14 +80,16 @@ void PhysicalPlanner::RegisterProfileNodes(const LogicalOp& node, int depth) {
   }
 }
 
-Status PhysicalPlanner::Prepare() {
+Status PhysicalPlanner::Prepare(ThreadPool* build_pool) {
   if (profile_ != nullptr) {
     RegisterProfileNodes(*plan_, 0);
     profile_->SetNumWorkers(num_workers_);
   }
-  // Create shared ModelJoin state once per ModelJoin node, serially.
+  // Create shared ModelJoin state once per ModelJoin node, one node at a
+  // time; a per-query build parses its model table on `build_pool`.
   struct Visitor {
     PhysicalPlanner* planner;
+    ThreadPool* build_pool;
     Status Visit(const LogicalOp& node) {
       for (const auto& child : node.children) {
         INDBML_RETURN_NOT_OK(Visit(*child));
@@ -98,17 +102,28 @@ Status PhysicalPlanner::Prepare() {
         ModelJoinStateArgs state_args;
         state_args.meta = node.modeljoin.meta;
         state_args.device = node.modeljoin.device;
-        state_args.num_workers = planner->num_workers_;
+        state_args.build_pool = build_pool;
         state_args.model_table = node.modeljoin.model_table;
         state_args.shared = planner->shared_models_;
+        Stopwatch build_watch;
         INDBML_ASSIGN_OR_RETURN(auto state,
                                 planner->state_factory_(state_args));
+        if (!planner->shared_models_) {
+          const int64_t nanos = build_watch.ElapsedNanos();
+          metrics::Registry::Global()
+              .histogram("modeljoin.build_micros")
+              ->Record(nanos / 1000);
+          if (planner->profile_ != nullptr) {
+            planner->profile_->slot(planner->profile_node_ids_.at(&node), 0)
+                ->AddPhase("build", nanos);
+          }
+        }
         planner->modeljoin_states_[&node] = std::move(state);
       }
       return Status::OK();
     }
   };
-  Visitor visitor{this};
+  Visitor visitor{this, build_pool};
   return visitor.Visit(*plan_);
 }
 
@@ -325,16 +340,11 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
         args.input_column_indexes.push_back(static_cast<int>(it->second));
       }
       args.child = std::move(child);
-      args.model_table = node.modeljoin.model_table;
-      args.meta = node.modeljoin.meta;
-      args.device = node.modeljoin.device;
       size_t child_width = node.children[0]->outputs.size();
       for (size_t i = child_width; i < node.outputs.size(); ++i) {
         args.prediction_names.push_back(node.outputs[i].name);
       }
       args.shared_state = modeljoin_states_.at(&node);
-      args.worker = worker;
-      args.num_workers = num_workers_;
       args.inference = inference_;
       return operator_factory_(std::move(args));
     }

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "exec/operator.h"
 #include "exec/profile.h"
 #include "sql/logical_plan.h"
@@ -31,38 +32,34 @@ struct InferenceExecOptions {
 /// planner for one worker's instance.
 struct ModelJoinPhysicalArgs {
   exec::OperatorPtr child;
-  storage::TablePtr model_table;
   /// Positions of the model input columns in the child's output chunk.
   std::vector<int> input_column_indexes;
-  nn::ModelMeta meta;
-  std::string device;
   std::vector<std::string> prediction_names;
-  /// Query-wide state shared by all worker instances (the shared model
-  /// of the parallel build phase, paper §5.2). Created once per query by
-  /// the registered state factory.
+  /// The complete shared model of this ModelJoin node, read by every
+  /// worker instance. Created once per query by the registered state
+  /// factory during Prepare().
   std::shared_ptr<void> shared_state;
-  int worker = 0;
-  int num_workers = 1;
   /// Batching/cache knobs for this query (QueryEngine::Options::inference).
   InferenceExecOptions inference;
 };
 
 /// Everything the ModelJoin state factory needs to create (or look up) the
-/// shared model of one ModelJoin node.
+/// shared model of one ModelJoin node. The factory returns a complete
+/// model: the build is a phase of its own that ends before any operator
+/// instance exists.
 struct ModelJoinStateArgs {
   nn::ModelMeta meta;
   std::string device;
-  /// Build participants of the per-query barrier build (ignored when
-  /// `shared` — the registry builds with a single builder).
-  int num_workers = 1;
+  /// Pool the per-query build parses the model table on; nullptr parses
+  /// serially on the calling thread. Ignored when `shared`: registry builds
+  /// always run on the calling thread.
+  ThreadPool* build_pool = nullptr;
   /// The deployed relational model representation (registry identity: a
   /// replaced model table invalidates the cached model).
   storage::TablePtr model_table;
   /// True = resolve through the process-wide SharedModelRegistry so
-  /// concurrent queries over the same (model, device) build it once and the
-  /// state arrives pre-built (barrier-free Open — required by the shared
-  /// executor's lazy per-instance opens). False = the classic per-query
-  /// state whose build runs cooperatively inside the workers' Open calls.
+  /// concurrent queries over the same (model, device) build it once.
+  /// False = the paper's per-query build (§5.2).
   bool shared = false;
 };
 
@@ -102,9 +99,12 @@ class PhysicalPlanner {
   /// concurrently for distinct workers after Prepare() succeeded.
   Result<exec::OperatorPtr> Instantiate(int worker);
 
-  /// Creates shared state (ModelJoin) once; must be called before the first
-  /// Instantiate.
-  Status Prepare();
+  /// Creates shared state once; must be called before the first
+  /// Instantiate. This is the query's ModelJoin build phase: each
+  /// non-shared ModelJoin model is parsed on `build_pool` (serially when
+  /// null) and recorded as modeljoin.build_micros and as the "build" phase
+  /// of the node's worker-0 profile slot.
+  Status Prepare(ThreadPool* build_pool);
 
  private:
   Result<exec::OperatorPtr> Build(const LogicalOp& node, int worker);

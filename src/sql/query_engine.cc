@@ -72,19 +72,17 @@ Result<exec::QueryResult> QueryEngine::ExecuteQuery(const std::string& sql,
 
 Result<QueryEngine::PhysicalPrep> QueryEngine::PreparePhysical(
     const LogicalOp& plan, const Options& opts, int max_workers,
-    exec::QueryProfile* profile) {
+    ThreadPool* build_pool, exec::QueryProfile* profile) {
   PhysicalPrep prep;
   Optimizer optimizer(opts.optimizer);
   prep.analysis = optimizer.Analyze(plan);
   prep.use_morsel = prep.analysis.parallel_safe && max_workers > 1;
-  // Anything else plans one worker: multi-worker plans synchronise inside
-  // operators (ModelJoin build barrier) and require all worker trees to run
-  // concurrently.
+  // Anything else plans one worker whose scans read their full tables.
   prep.planner = std::make_unique<PhysicalPlanner>(
       &plan, prep.analysis, prep.use_morsel ? max_workers : 1,
       modeljoin_state_factory_, modeljoin_operator_factory_, profile,
       opts.fused_pipeline, opts.shared_models, opts.inference);
-  INDBML_RETURN_NOT_OK(prep.planner->Prepare());
+  INDBML_RETURN_NOT_OK(prep.planner->Prepare(build_pool));
   if (prep.use_morsel && validation::Enabled()) {
     INDBML_RETURN_NOT_OK(ValidateMorselSafety(plan, prep.analysis));
   }
@@ -101,27 +99,31 @@ Result<exec::QueryResult> QueryEngine::ExecutePlan(const LogicalOp& plan,
                                                    exec::QueryProfile* profile) {
   trace::Span query_span("query");
   const int pipeline_workers = WorkersFor(opts);
-  INDBML_ASSIGN_OR_RETURN(auto prep,
-                          PreparePhysical(plan, opts, pipeline_workers, profile));
-  PhysicalPlanner& planner = *prep.planner;
+  // Hold the shared_ptr for the query's duration (build phase and
+  // pipeline): a concurrent set_options() resizing the pool must not tear
+  // it down under us. The serial mode takes no pool at all.
+  std::shared_ptr<ThreadPool> pool =
+      pipeline_workers > 1 ? SharedPool(pipeline_workers) : nullptr;
 
   // Peak tracked memory is process-wide; the reset makes the recorded peak
-  // per-query as long as queries don't overlap (Table 3 methodology).
+  // per-query as long as queries don't overlap (Table 3 methodology). Both
+  // the peak and the wall time include the ModelJoin build phase.
   if (profile != nullptr) MemoryTracker::Global().ResetPeak();
   Stopwatch stopwatch;
 
   auto run = [&]() -> Result<exec::QueryResult> {
+    INDBML_ASSIGN_OR_RETURN(
+        auto prep,
+        PreparePhysical(plan, opts, pipeline_workers, pool.get(), profile));
+    PhysicalPlanner& planner = *prep.planner;
     if (prep.use_morsel) {
       exec::MorselSource source(
           exec::MakeMorsels(*prep.analysis.partitioned_table, opts.morsel_rows));
       exec::WorkerPlanFactory factory = [&](int worker) {
         return planner.Instantiate(worker);
       };
-      // Hold the shared_ptr for the query's duration: a concurrent
-      // set_options() resizing the pool must not tear it down under us.
-      std::shared_ptr<ThreadPool> run_pool = SharedPool(pipeline_workers);
       return exec::ExecutePipeline(factory, &source, planner.num_workers(),
-                                   &catalog_, run_pool.get());
+                                   &catalog_, pool.get());
     }
     INDBML_ASSIGN_OR_RETURN(exec::OperatorPtr root, planner.Instantiate(0));
     exec::ExecContext ctx;

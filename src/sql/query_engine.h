@@ -124,10 +124,12 @@ class QueryEngine {
   /// Analyzes `plan` and lowers it for up to `max_workers` parallel worker
   /// instances under the given options snapshot. Used by ExecutePlan and by
   /// the shared executor path (server/session.cc), which schedules the
-  /// returned planner's instances itself. ModelJoin shared state is created
-  /// here (registry lookup when `opts.shared_models`).
+  /// returned planner's instances itself. This is also the query's
+  /// ModelJoin build phase: every ModelJoin model is complete when it
+  /// returns (a registry lookup when `opts.shared_models`, otherwise a
+  /// build parsed on `build_pool`, serially when null).
   Result<PhysicalPrep> PreparePhysical(const LogicalOp& plan, const Options& opts,
-                                       int max_workers,
+                                       int max_workers, ThreadPool* build_pool,
                                        exec::QueryProfile* profile);
 
   /// Effective pipeline worker count: `worker_threads` if set, one per

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -135,24 +137,38 @@ TEST(ThreadPoolTest, WaitIdleBlocksUntilDone) {
   EXPECT_EQ(done.load(), 10);
 }
 
-TEST(BarrierTest, ReleasesAllAndIsReusable) {
-  constexpr int kThreads = 4;
-  Barrier barrier(kThreads);
-  std::atomic<int> phase1{0};
-  std::atomic<int> phase2{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      ++phase1;
-      barrier.Wait();
-      // Everyone must have finished phase 1.
-      EXPECT_EQ(phase1.load(), kThreads);
-      ++phase2;
-      barrier.Wait();
-      EXPECT_EQ(phase2.load(), kThreads);
+// ParallelFor waits for its own tasks only. Thread A's task blocks on a
+// latch in a 2-thread pool; thread B's ParallelFor must still return,
+// instead of waiting for the whole pool to go idle.
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnTasks) {
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  std::promise<void> a_started;
+  std::thread a([&] {
+    pool.ParallelFor(1, [&](int) {
+      a_started.set_value();
+      latch.wait();
     });
-  }
-  for (auto& t : threads) t.join();
+  });
+  a_started.get_future().wait();
+
+  std::atomic<bool> b_ran{false};
+  std::promise<void> b_done;
+  std::future<void> b_returned = b_done.get_future();
+  std::thread b([&] {
+    pool.ParallelFor(1, [&](int) { b_ran = true; });
+    b_done.set_value();
+  });
+  const bool returned_while_blocked =
+      b_returned.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  // Release A either way so both threads can be joined.
+  release.set_value();
+  a.join();
+  b.join();
+  EXPECT_TRUE(returned_while_blocked)
+      << "ParallelFor waited for another thread's task";
+  EXPECT_TRUE(b_ran.load());
 }
 
 // ---------- memory tracker ----------

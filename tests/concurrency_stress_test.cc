@@ -5,18 +5,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "benchlib/workloads.h"
+#include "common/config.h"
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "exec/morsel.h"
+#include "inference/shared_model.h"
 #include "mltosql/mltosql.h"
-#include "modeljoin/shared_model.h"
+#include "modeljoin/register.h"
 #include "nn/model.h"
 #include "nn/model_meta.h"
 #include "sql/query_engine.h"
@@ -30,8 +39,8 @@ namespace {
 constexpr int kRounds = 50;
 constexpr int kTasksPerRound = 64;
 
-/// Submit/WaitIdle churn: WaitIdle() is the engine's pipeline barrier, so a
-/// task counted as finished must have all its writes visible to the waiter.
+/// Submit/WaitIdle churn: a task counted as finished must have all its
+/// writes visible to the waiter.
 TEST(ThreadPoolStressTest, SubmitWaitIdleHammer) {
   ThreadPool pool(4);
   int64_t plain_counter = 0;  // deliberately non-atomic: WaitIdle must order it
@@ -78,42 +87,6 @@ TEST(ThreadPoolStressTest, ParallelForDisjointWrites) {
       ASSERT_EQ(data[static_cast<size_t>(i)], int64_t{round} * kN + i);
     }
   }
-}
-
-/// Barrier reuse across many generations (paper §5.2 uses one barrier per
-/// phase; the implementation is generation-counted so one object can gate
-/// many rounds). Each participant increments before the barrier and checks
-/// the full sum after it; a second Wait() per round keeps the check phase
-/// from racing with the next round's increments.
-TEST(BarrierStressTest, MultiGenerationReuse) {
-  constexpr int kParticipants = 4;
-  constexpr int kGenerations = 200;
-  ThreadPool pool(kParticipants);
-  Barrier barrier(kParticipants);
-  std::atomic<int64_t> sum{0};
-  std::atomic<int64_t> mismatches{0};
-  for (int p = 0; p < kParticipants; ++p) {
-    pool.Submit([&barrier, &sum, &mismatches] {
-      for (int gen = 1; gen <= kGenerations; ++gen) {
-        sum.fetch_add(1, std::memory_order_relaxed);
-        barrier.Wait();  // everyone incremented for this generation
-        if (sum.load(std::memory_order_relaxed) !=
-            int64_t{gen} * kParticipants) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-        barrier.Wait();  // everyone checked; next generation may start
-      }
-    });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(sum.load(), int64_t{kGenerations} * kParticipants);
-}
-
-/// A Barrier sized 1 degenerates to a no-op and must never block.
-TEST(BarrierStressTest, SingleParticipant) {
-  Barrier barrier(1);
-  for (int i = 0; i < 1000; ++i) barrier.Wait();
 }
 
 /// Concurrent metric updates while another thread snapshots the registry.
@@ -237,42 +210,120 @@ TEST(MorselSourceStressTest, AbortStopsHandouts) {
   EXPECT_FALSE(source.Next(&extra));
 }
 
-/// Concurrent ModelJoin shared-model builds: every partition thread parses
-/// its slice into the shared weight matrices and rendezvouses on the build
-/// barrier. Repeated rounds catch generation/reuse races in the barriers.
+/// Concurrent ModelJoin model builds: several client threads each build a
+/// model with SharedModel::FromTable on one shared pool, so their parse
+/// tasks interleave in the pool's queue. Every build must complete with the
+/// full weights visible to its caller.
 TEST(SharedModelStressTest, ConcurrentBuildRounds) {
-  auto model_or = nn::MakeDenseBenchmarkModel(/*width=*/12, /*depth=*/3, 7);
+  // Deep enough for several kRowsPerBlock blocks per build.
+  auto model_or = nn::MakeDenseBenchmarkModel(/*width=*/48, /*depth=*/6, 7);
   ASSERT_TRUE(model_or.ok());
   nn::Model model = std::move(model_or).ValueOrDie();
   mltosql::MlToSql framework(&model, "m");
   auto table_or = framework.BuildModelTable();
   ASSERT_TRUE(table_or.ok());
   storage::TablePtr table = std::move(table_or).ValueOrDie();
+  ASSERT_GT(table->num_rows(), 2 * kRowsPerBlock);
   auto cpu = device::MakeCpuDevice();
 
-  constexpr int kPartitions = 5;
-  ThreadPool pool(kPartitions);
-  for (int round = 0; round < 10; ++round) {
-    modeljoin::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(),
-                                  kPartitions, 256);
-    std::vector<Status> statuses(kPartitions);
-    for (int p = 0; p < kPartitions; ++p) {
-      pool.Submit([&shared, &table, &statuses, p] {
-        statuses[static_cast<size_t>(p)] = shared.BuildPartition(*table, p);
-      });
-    }
-    pool.WaitIdle();
-    for (const Status& s : statuses) ASSERT_OK(s);
-    // Spot-check: all partitions' writes are visible after the barrier.
-    const nn::DenseLayer& dense = model.layers()[0].dense;
-    const float* w = shared.dense_kernel(0);
-    for (int64_t in = 0; in < dense.input_dim; ++in) {
-      for (int64_t out = 0; out < dense.units; ++out) {
-        ASSERT_FLOAT_EQ(w[out * dense.input_dim + in],
-                        dense.kernel.At(in, out));
+  constexpr int kBuilders = 3;
+  ThreadPool pool(4);
+  ThreadPool builders(kBuilders);
+  std::atomic<int64_t> failures{0};
+  std::atomic<int64_t> mismatches{0};
+  builders.ParallelFor(kBuilders, [&](int) {
+    for (int round = 0; round < 10; ++round) {
+      auto shared = inference::SharedModel::FromTable(
+          nn::MetaOf(model, "m"), cpu.get(), 256, *table, &pool);
+      if (!shared.ok()) {
+        failures.fetch_add(1);
+        continue;
+      }
+      // Spot-check: every block's writes are visible after the build.
+      for (size_t li = 0; li < model.layers().size(); ++li) {
+        const nn::DenseLayer& dense = model.layers()[li].dense;
+        const float* w = shared.ValueOrDie()->dense_kernel(li);
+        for (int64_t in = 0; in < dense.input_dim; ++in) {
+          for (int64_t out = 0; out < dense.units; ++out) {
+            if (w[out * dense.input_dim + in] != dense.kernel.At(in, out)) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
       }
     }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// Several clients share one QueryEngine and run per-query ModelJoin builds
+/// (shared_models = false) concurrently on the engine's 4-thread pool. The
+/// build phase and the pipeline both call ParallelFor from the client
+/// threads, so their tasks interleave in one queue; no query may wait on
+/// another query's tasks. A watchdog turns a deadlock into a failure.
+TEST(ModelJoinConcurrencyTest, ConcurrentModelJoinClientsOnOneEngine) {
+  constexpr int kClients = 3;
+  constexpr int kQueriesPerClient = 50;
+  constexpr int64_t kRows = 4000;
+  auto fact = benchlib::MakeIrisTable("fact", kRows);
+  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(16, 3, 21));
+  auto make_engine = [&](int workers) {
+    sql::QueryEngine::Options options;
+    options.worker_threads = workers;  // explicit: multi-worker on 1-core hosts
+    options.morsel_rows = 512;
+    auto engine = std::make_unique<sql::QueryEngine>(options);
+    modeljoin::RegisterNativeModelJoin(engine.get());
+    INDBML_CHECK(engine->catalog()->CreateTable(fact).ok());
+    mltosql::MlToSql framework(&model, "m");
+    INDBML_CHECK(framework.Deploy(engine.get()).ok());
+    engine->models()->Register(nn::MetaOf(model, "dense16"));
+    return engine;
+  };
+  const std::string query =
+      "SELECT id, prediction FROM fact MODEL JOIN m USING MODEL 'dense16' "
+      "DEVICE 'cpu' PREDICT (sepal_length, sepal_width, petal_length, "
+      "petal_width)";
+  auto serial = make_engine(1);
+  ASSERT_OK_AND_ASSIGN(auto reference, serial->ExecuteQuery(query));
+  ASSERT_EQ(reference.num_rows, kRows);
+
+  auto engine = make_engine(4);
+  std::atomic<int64_t> failures{0};
+  std::atomic<int64_t> mismatches{0};
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread runner([&] {
+    ThreadPool clients(kClients);
+    clients.ParallelFor(kClients, [&](int) {
+      for (int q = 0; q < kQueriesPerClient; ++q) {
+        auto result = engine->ExecuteQuery(query);
+        if (!result.ok() || result->num_rows != reference.num_rows) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (int64_t r = 0; r < reference.num_rows; ++r) {
+          if (result->GetValue(r, 0).i != reference.GetValue(r, 0).i ||
+              result->GetValue(r, 1).f != reference.GetValue(r, 1).f) {
+            mismatches.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+    finished.set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+    // The blocked pool threads can never be joined; end the process so the
+    // suite fails instead of hanging.
+    std::fprintf(stderr,
+                 "ConcurrentModelJoinClientsOnOneEngine: queries deadlocked "
+                 "(no progress within 120 s)\n");
+    std::_Exit(1);
   }
+  runner.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 /// Shared-Buffer lifetime under concurrency: a morsel-driven filter query

@@ -4,8 +4,8 @@
 
 #include "benchlib/approaches.h"
 #include "benchlib/workloads.h"
+#include "inference/validate.h"
 #include "mltosql/mltosql.h"
-#include "modeljoin/validate.h"
 #include "nn/model.h"
 #include "sql/query_engine.h"
 #include "test_util.h"
@@ -77,7 +77,7 @@ TEST(GruModelTest, ModelTableShape) {
   // 1x5 kernel + 5x5 recurrent + 5x1 dense output edges.
   EXPECT_EQ(table->num_rows(), 5 + 25 + 5);
   ASSERT_OK_AND_ASSIGN(auto report,
-                       modeljoin::ValidateModelTable(*table, nn::MetaOf(model)));
+                       inference::ValidateModelTable(*table, nn::MetaOf(model)));
   EXPECT_EQ(report.lstm_kernel_edges, 5);
   EXPECT_EQ(report.lstm_recurrent_edges, 25);
 }

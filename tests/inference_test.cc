@@ -39,11 +39,11 @@ std::shared_ptr<SharedModel> BuildShared(const nn::Model& model,
   mltosql::MlToSql framework(const_cast<nn::Model*>(&model), "m");
   auto table = framework.BuildModelTable();
   INDBML_CHECK(table.ok()) << table.status().ToString();
-  auto shared = std::make_shared<SharedModel>(nn::MetaOf(model, "m"), device, 1,
-                                              vector_size);
-  Status built = shared->BuildSerial(*table.ValueOrDie());
-  INDBML_CHECK(built.ok()) << built.ToString();
-  return shared;
+  auto shared = SharedModel::FromTable(nn::MetaOf(model, "m"), device,
+                                       vector_size, *table.ValueOrDie(),
+                                       /*pool=*/nullptr);
+  INDBML_CHECK(shared.ok()) << shared.status().ToString();
+  return std::move(shared).ValueOrDie();
 }
 
 /// Random feature-major input matrix [d x n].
@@ -183,23 +183,15 @@ TEST_F(InferenceRuntimeTest, RunBlocksAtVectorSize) {
   }
 }
 
-TEST_F(InferenceRuntimeTest, RejectsUnbuiltModel) {
-  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(8, 2, 3));
-  SharedModel shared(nn::MetaOf(model, "m"), cpu_.get(), 1, 128);
-  float in = 0.0f, out = 0.0f;
-  Status status = InferenceRuntime::Global().Run(shared, &in, 1, &out);
-  EXPECT_FALSE(status.ok());
-}
-
-// BuildFromModel (the mlruntime path) must produce the same weights — and
+// FromModel (the mlruntime path) must produce the same weights — and
 // therefore bit-identical predictions — as the model-table build.
-TEST_F(InferenceRuntimeTest, BuildFromModelMatchesTableBuild) {
+TEST_F(InferenceRuntimeTest, FromModelMatchesFromTable) {
   for (auto make : {&nn::MakeLstmBenchmarkModel, &nn::MakeGruBenchmarkModel}) {
     ASSERT_OK_AND_ASSIGN(nn::Model model, make(8, 3, 19));
     auto from_table = BuildShared(model, cpu_.get(), 256);
-    auto from_model = std::make_shared<SharedModel>(nn::MetaOf(model, "m"),
-                                                    cpu_.get(), 1, 256);
-    ASSERT_OK(from_model->BuildFromModel(model));
+    ASSERT_OK_AND_ASSIGN(auto from_model,
+                         SharedModel::FromModel(nn::MetaOf(model, "m"),
+                                                cpu_.get(), 256, model));
 
     const int64_t d = model.input_width();
     const int64_t o = model.output_dim();

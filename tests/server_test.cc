@@ -205,6 +205,49 @@ TEST_F(ServerTest, SharedModelBuiltExactlyOnceAcrossSessions) {
       << "concurrent sessions over one model must share one build";
 }
 
+// Without shared models each query builds its own model before the job is
+// submitted, so the plan runs on every executor thread (no single-instance
+// special case) and must match a serial engine row for row.
+TEST_F(ServerTest, PerQueryModelJoinRunsMultiInstance) {
+  server::QueryServer::Options options;
+  options.engine.shared_models = false;
+  options.engine.morsel_rows = 512;
+  options.worker_threads = 4;
+  auto srv = MakeServer(options);
+  constexpr int64_t kRows = 4000;  // 8 morsels of 512 rows
+  LoadIris(srv.get(), kRows);
+  DeployDense(srv.get(), 16, 3, "dense16");
+  const std::string query = DenseQuery("dense16");
+
+  sql::QueryEngine::Options serial_options;
+  serial_options.worker_threads = 1;
+  sql::QueryEngine serial(serial_options);
+  modeljoin::RegisterNativeModelJoin(&serial);
+  ASSERT_OK(serial.catalog()->CreateTable(benchlib::MakeIrisTable("fact", kRows)));
+  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(16, 3, 21));
+  mltosql::MlToSql framework(&model, "m");
+  ASSERT_OK(framework.Deploy(&serial));
+  serial.models()->Register(nn::MetaOf(model, "dense16"));
+  ASSERT_OK_AND_ASSIGN(auto reference, serial.ExecuteQuery(query));
+  ASSERT_EQ(reference.num_rows, kRows);
+
+  const int64_t registry_builds = CounterValue("modeljoin.registry_builds");
+  constexpr int kSessions = 3;
+  std::vector<std::unique_ptr<server::Session>> sessions;
+  std::vector<std::shared_ptr<server::QueryHandle>> handles;
+  for (int i = 0; i < kSessions; ++i) {
+    sessions.push_back(srv->CreateSession());
+    ASSERT_OK_AND_ASSIGN(auto handle, sessions.back()->Submit(query));
+    handles.push_back(std::move(handle));
+  }
+  for (auto& handle : handles) {
+    ASSERT_OK_AND_ASSIGN(auto result, handle->Wait());
+    ExpectRowIdentical(result, reference);
+  }
+  EXPECT_EQ(CounterValue("modeljoin.registry_builds"), registry_builds)
+      << "per-query builds must bypass the registry";
+}
+
 TEST_F(ServerTest, RegistryInvalidatedOnModelRedeploy) {
   auto srv = MakeServer();
   LoadIris(srv.get(), 500);

@@ -1,8 +1,11 @@
-#include "modeljoin/shared_model.h"
+#include "inference/shared_model.h"
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <cstring>
+
+#include "common/config.h"
+#include "common/thread_pool.h"
 
 #include "mltosql/mltosql.h"
 #include "nn/model_meta.h"
@@ -11,8 +14,11 @@
 namespace indbml {
 namespace {
 
+using inference::SharedModel;
+
 /// Direct tests of the parallel build phase (paper §5.2), including the
-/// failure path where all participants must still pass the barrier.
+/// failure path where the first parse error must surface as the build's
+/// status.
 class SharedModelTest : public ::testing::Test {
  protected:
   void Build(int64_t width, int64_t depth) {
@@ -32,8 +38,10 @@ class SharedModelTest : public ::testing::Test {
 TEST_F(SharedModelTest, SinglePartitionBuildLoadsWeights) {
   Build(8, 2);
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel shared(nn::MetaOf(model_, "m"), cpu.get(), 1, 1024);
-  ASSERT_OK(shared.BuildPartition(*table_, 0));
+  ASSERT_OK_AND_ASSIGN(auto built,
+                       SharedModel::FromTable(nn::MetaOf(model_, "m"), cpu.get(),
+                                              1024, *table_, nullptr));
+  const SharedModel& shared = *built;
 
   // First dense layer kernel (transposed [units x in]): spot-check against
   // the model weights.
@@ -54,63 +62,67 @@ TEST_F(SharedModelTest, SinglePartitionBuildLoadsWeights) {
 }
 
 TEST_F(SharedModelTest, ParallelBuildMatchesSerialBuild) {
-  Build(16, 3);
+  // Deep enough for several kRowsPerBlock blocks, so the pool tasks really
+  // split the parse.
+  Build(64, 6);
+  ASSERT_GT(table_->num_rows(), 4 * kRowsPerBlock);
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel serial(nn::MetaOf(model_, "m"), cpu.get(), 1, 256);
-  ASSERT_OK(serial.BuildPartition(*table_, 0));
+  ASSERT_OK_AND_ASSIGN(auto serial,
+                       SharedModel::FromTable(nn::MetaOf(model_, "m"), cpu.get(),
+                                              256, *table_, nullptr));
+  ThreadPool pool(6);
+  ASSERT_OK_AND_ASSIGN(auto parallel,
+                       SharedModel::FromTable(nn::MetaOf(model_, "m"), cpu.get(),
+                                              256, *table_, &pool));
 
-  constexpr int kPartitions = 6;
-  modeljoin::SharedModel parallel(nn::MetaOf(model_, "m"), cpu.get(), kPartitions,
-                                  256);
-  std::vector<std::thread> threads;
-  std::vector<Status> statuses(kPartitions);
-  for (int p = 0; p < kPartitions; ++p) {
-    threads.emplace_back([&, p] { statuses[static_cast<size_t>(p)] =
-                                      parallel.BuildPartition(*table_, p); });
-  }
-  for (auto& t : threads) t.join();
-  for (const Status& s : statuses) ASSERT_OK(s);
-
+  // Bit-identical weights and replicated bias matrices.
   for (size_t li = 0; li < model_.layers().size(); ++li) {
     const nn::DenseLayer& dense = model_.layers()[li].dense;
-    int64_t n = dense.units * dense.input_dim;
-    for (int64_t i = 0; i < n; ++i) {
-      ASSERT_FLOAT_EQ(parallel.dense_kernel(li)[i], serial.dense_kernel(li)[i])
-          << "layer " << li << " element " << i;
-    }
+    const size_t kernel_bytes =
+        static_cast<size_t>(dense.units * dense.input_dim) * sizeof(float);
+    ASSERT_EQ(std::memcmp(parallel->dense_kernel(li), serial->dense_kernel(li),
+                          kernel_bytes),
+              0)
+        << "layer " << li;
+    const size_t bias_bytes =
+        static_cast<size_t>(dense.units * 256) * sizeof(float);
+    ASSERT_EQ(std::memcmp(parallel->dense_bias_matrix(li),
+                          serial->dense_bias_matrix(li), bias_bytes),
+              0)
+        << "layer " << li;
   }
 }
 
 TEST_F(SharedModelTest, BuildFailurePropagatesWithoutDeadlock) {
-  Build(8, 1);
-  // Corrupt the table: a node id far outside the layout.
+  Build(64, 4);
+  // Corrupt the table: a node id far outside the layout, in a late block
+  // so that other tasks are parsing concurrently.
+  const int64_t bad_row = table_->num_rows() - 3;
+  ASSERT_GT(bad_row, 2 * kRowsPerBlock);
   storage::Table bad("m", table_->fields());
   for (int64_t r = 0; r < table_->num_rows(); ++r) {
     std::vector<storage::Value> row;
     for (int c = 0; c < table_->num_columns(); ++c) {
       row.push_back(table_->column(c).GetValue(r));
     }
-    if (r == 3) row[1] = storage::Value::Int64(10000);  // 'node' column
+    if (r == bad_row) row[1] = storage::Value::Int64(10000);  // 'node' column
     ASSERT_OK(bad.AppendRow(row));
   }
   bad.Finalize();
 
   auto cpu = device::MakeCpuDevice();
-  constexpr int kPartitions = 4;
-  modeljoin::SharedModel shared(nn::MetaOf(model_, "m"), cpu.get(), kPartitions, 64);
-  std::vector<std::thread> threads;
-  std::vector<Status> statuses(kPartitions);
-  for (int p = 0; p < kPartitions; ++p) {
-    threads.emplace_back(
-        [&, p] { statuses[static_cast<size_t>(p)] = shared.BuildPartition(bad, p); });
-  }
-  for (auto& t : threads) t.join();
-  // The corrupt row lives in one partition, but every participant must see
-  // the failure (and none may hang on the barrier).
-  for (const Status& s : statuses) {
-    EXPECT_FALSE(s.ok());
-    EXPECT_EQ(s.code(), StatusCode::kExecutionError);
-  }
+  ThreadPool pool(4);
+  auto result = SharedModel::FromTable(nn::MetaOf(model_, "m"), cpu.get(), 64,
+                                       bad, &pool);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
+  EXPECT_NE(result.status().ToString().find("10000"), std::string::npos)
+      << result.status().ToString();
+  // The pool is not wedged: it still runs work after the failed build.
+  ASSERT_OK_AND_ASSIGN(auto good,
+                       SharedModel::FromTable(nn::MetaOf(model_, "m"), cpu.get(),
+                                              64, *table_, &pool));
+  EXPECT_GT(good->DeviceBytes(), 0);
 }
 
 TEST_F(SharedModelTest, LstmWeightsLandInGateBuffers) {
@@ -121,8 +133,10 @@ TEST_F(SharedModelTest, LstmWeightsLandInGateBuffers) {
   ASSERT_OK_AND_ASSIGN(auto table, framework.BuildModelTable());
 
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 128);
-  ASSERT_OK(shared.BuildPartition(*table, 0));
+  ASSERT_OK_AND_ASSIGN(auto built,
+                       SharedModel::FromTable(nn::MetaOf(model, "m"), cpu.get(),
+                                              128, *table, nullptr));
+  const SharedModel& shared = *built;
 
   const nn::LstmLayer& lstm = model.layers()[0].lstm;
   for (int g = 0; g < nn::kNumGates; ++g) {

@@ -6,8 +6,8 @@
 
 #include "benchlib/workloads.h"
 #include "common/random.h"
+#include "inference/validate.h"
 #include "mltosql/tree_to_sql.h"
-#include "modeljoin/validate.h"
 #include "mltosql/mltosql.h"
 #include "sql/query_engine.h"
 #include "test_util.h"
@@ -183,7 +183,7 @@ TEST(ValidateModelTableTest, AcceptsGeneratedTables) {
   mltosql::MlToSql framework(&dense, "m");
   ASSERT_OK_AND_ASSIGN(auto table, framework.BuildModelTable());
   ASSERT_OK_AND_ASSIGN(auto report,
-                       modeljoin::ValidateModelTable(*table, nn::MetaOf(dense)));
+                       inference::ValidateModelTable(*table, nn::MetaOf(dense)));
   EXPECT_EQ(report.input_edges, 4);
   EXPECT_EQ(report.dense_edges, 4 * 8 + 8 * 8 + 8);
   EXPECT_TRUE(report.sorted);
@@ -192,7 +192,7 @@ TEST(ValidateModelTableTest, AcceptsGeneratedTables) {
   mltosql::MlToSql lstm_framework(&lstm, "m2");
   ASSERT_OK_AND_ASSIGN(auto lstm_table, lstm_framework.BuildModelTable());
   ASSERT_OK_AND_ASSIGN(auto lstm_report,
-                       modeljoin::ValidateModelTable(*lstm_table, nn::MetaOf(lstm)));
+                       inference::ValidateModelTable(*lstm_table, nn::MetaOf(lstm)));
   EXPECT_EQ(lstm_report.lstm_kernel_edges, 6);
   EXPECT_EQ(lstm_report.lstm_recurrent_edges, 36);
 }
@@ -203,7 +203,7 @@ TEST(ValidateModelTableTest, RejectsWrongMeta) {
   ASSERT_OK_AND_ASSIGN(auto table, framework.BuildModelTable());
   // Meta for a different width: edge counts cannot line up.
   ASSERT_OK_AND_ASSIGN(auto other, nn::MakeDenseBenchmarkModel(16, 2));
-  EXPECT_FALSE(modeljoin::ValidateModelTable(*table, nn::MetaOf(other)).ok());
+  EXPECT_FALSE(inference::ValidateModelTable(*table, nn::MetaOf(other)).ok());
 }
 
 TEST(ValidateModelTableTest, RejectsPairIdSchema) {
@@ -212,7 +212,7 @@ TEST(ValidateModelTableTest, RejectsPairIdSchema) {
   basic.unique_node_ids = false;
   mltosql::MlToSql framework(&model, "m", basic);
   ASSERT_OK_AND_ASSIGN(auto table, framework.BuildModelTable());
-  EXPECT_FALSE(modeljoin::ValidateModelTable(*table, nn::MetaOf(model)).ok());
+  EXPECT_FALSE(inference::ValidateModelTable(*table, nn::MetaOf(model)).ok());
 }
 
 TEST(ValidateModelTableTest, RejectsTamperedTable) {
@@ -229,7 +229,7 @@ TEST(ValidateModelTableTest, RejectsTamperedTable) {
     ASSERT_OK(tampered.AppendRow(row));
   }
   tampered.Finalize();
-  EXPECT_FALSE(modeljoin::ValidateModelTable(tampered, nn::MetaOf(model)).ok());
+  EXPECT_FALSE(inference::ValidateModelTable(tampered, nn::MetaOf(model)).ok());
 }
 
 }  // namespace

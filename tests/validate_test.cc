@@ -12,9 +12,9 @@
 #include "common/metrics.h"
 #include "common/validation.h"
 #include "exec/validate.h"
+#include "inference/shared_model.h"
+#include "inference/validate.h"
 #include "mltosql/mltosql.h"
-#include "modeljoin/shared_model.h"
-#include "modeljoin/validate.h"
 #include "nn/model.h"
 #include "nn/model_meta.h"
 #include "sql/optimizer.h"
@@ -200,9 +200,10 @@ TEST_F(ValidationTest, SharedModelShapeInvariantsHold) {
   mltosql::MlToSql framework(&model, "m");
   ASSERT_OK_AND_ASSIGN(storage::TablePtr table, framework.BuildModelTable());
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 64);
-  ASSERT_OK(shared.BuildPartition(*table, 0));
-  EXPECT_OK(modeljoin::ValidateSharedModelShape(shared));
+  ASSERT_OK_AND_ASSIGN(auto shared, inference::SharedModel::FromTable(
+                                        nn::MetaOf(model, "m"), cpu.get(), 64,
+                                        *table, /*pool=*/nullptr));
+  EXPECT_OK(inference::ValidateSharedModelShape(*shared));
 }
 
 TEST_F(ValidationTest, SharedModelBuildRunsShapeCheckWhenEnabled) {
@@ -213,8 +214,10 @@ TEST_F(ValidationTest, SharedModelBuildRunsShapeCheckWhenEnabled) {
   mltosql::MlToSql framework(&model, "m");
   ASSERT_OK_AND_ASSIGN(storage::TablePtr table, framework.BuildModelTable());
   auto cpu = device::MakeCpuDevice();
-  modeljoin::SharedModel shared(nn::MetaOf(model, "m"), cpu.get(), 1, 32);
-  EXPECT_OK(shared.BuildPartition(*table, 0));
+  EXPECT_OK(inference::SharedModel::FromTable(nn::MetaOf(model, "m"),
+                                              cpu.get(), 32, *table,
+                                              /*pool=*/nullptr)
+                .status());
 }
 
 // ---------------------------------------------------------------------------
