@@ -1,12 +1,12 @@
 #include "exec/aggregate.h"
 
-#include <cstring>
+#include <algorithm>
+#include <limits>
 
 #include "common/config.h"
 #include "common/memory_tracker.h"
+#include "exec/gather.h"
 #include "exec/join.h"
-
-#include <algorithm>
 
 namespace indbml::exec {
 
@@ -24,35 +24,6 @@ const char* AggFunctionName(AggFunction fn) {
       return "AVG";
   }
   return "?";
-}
-
-Value AggState::Finalize(AggFunction fn, DataType result_type) const {
-  double v = 0;
-  switch (fn) {
-    case AggFunction::kSum:
-      v = sum;
-      break;
-    case AggFunction::kCount:
-      return Value::Int64(count);
-    case AggFunction::kMin:
-      v = min;
-      break;
-    case AggFunction::kMax:
-      v = max;
-      break;
-    case AggFunction::kAvg:
-      v = count > 0 ? sum / static_cast<double>(count) : 0;
-      break;
-  }
-  switch (result_type) {
-    case DataType::kInt64:
-      return Value::Int64(static_cast<int64_t>(v));
-    case DataType::kFloat:
-      return Value::Float(static_cast<float>(v));
-    case DataType::kBool:
-      return Value::Bool(v != 0);
-  }
-  return Value();
 }
 
 namespace {
@@ -73,81 +44,263 @@ std::vector<std::string> BuildNames(const std::vector<std::string>& group_names,
   return names;
 }
 
-/// Evaluates group keys and aggregate arguments for a chunk.
+/// Evaluates a chunk's group keys (NormalizeAndHashKeys, hashing keys
+/// [hash_from, end)) and its aggregate arguments into flat vectors.
 Status EvalChunk(const std::vector<ExprPtr>& groups,
                  const std::vector<AggregateSpec>& aggs, const DataChunk& in,
-                 std::vector<Vector>* group_vecs, std::vector<Vector>* arg_vecs) {
-  group_vecs->clear();
-  for (const auto& g : groups) {
-    Vector v(g->type);
-    INDBML_RETURN_NOT_OK(EvaluateExpr(*g, in, &v));
-    // KeyPart/ArgValue read raw typed pointers, so aggregation is a flatten
-    // boundary for selected views coming off a filtered scan.
-    v.Flatten();
-    group_vecs->push_back(std::move(v));
-  }
-  arg_vecs->clear();
+                 size_t hash_from, std::vector<std::vector<uint64_t>>* norm_keys,
+                 std::vector<uint64_t>* hashes, std::vector<Vector>* args) {
+  INDBML_RETURN_NOT_OK(NormalizeAndHashKeys(groups, in, hash_from, norm_keys, hashes));
+  args->clear();
   for (const auto& a : aggs) {
-    Vector v(a.argument ? a.argument->type : DataType::kInt64);
+    args->emplace_back(a.argument ? a.argument->type : DataType::kInt64);
     if (a.argument) {
-      INDBML_RETURN_NOT_OK(EvaluateExpr(*a.argument, in, &v));
-      v.Flatten();
+      INDBML_RETURN_NOT_OK(EvaluateExpr(*a.argument, in, &args->back()));
+      // The update loops index raw typed pointers, so aggregation is a
+      // flatten boundary for selected views coming off a filtered scan.
+      args->back().Flatten();
     }
-    arg_vecs->push_back(std::move(v));
   }
   return Status::OK();
 }
 
-uint64_t KeyPart(const Vector& v, int64_t row) {
-  switch (v.type()) {
-    case DataType::kBool:
-      return v.bools()[row];
-    case DataType::kInt64:
-      return static_cast<uint64_t>(v.ints()[row]);
-    case DataType::kFloat: {
-      uint32_t bits;
-      float f = v.floats()[row];
-      std::memcpy(&bits, &f, sizeof(bits));
-      return bits;
-    }
-  }
-  return 0;
+template <typename T>
+int64_t CapacityBytes(const std::vector<T>& v) {
+  return static_cast<int64_t>(v.capacity() * sizeof(T));
 }
 
-double ArgValue(const Vector& v, int64_t row) {
-  switch (v.type()) {
-    case DataType::kBool:
-      return v.bools()[row];
-    case DataType::kInt64:
-      return static_cast<double>(v.ints()[row]);
-    case DataType::kFloat:
-      return v.floats()[row];
+/// Adds `n` argument values to their groups' states (`st` strided by the
+/// number of aggregates) in row order.
+template <typename T, typename Op>
+void UpdateRows(AggState* st, int64_t stride, const int32_t* gids, const T* v,
+                int64_t n, Op op) {
+  for (int64_t i = 0; i < n; ++i) {
+    AggState& s = st[static_cast<int64_t>(gids[i]) * stride];
+    op(s, v[i]);
+    ++s.count;
   }
-  return 0;
-}
-
-bool SameKey(const std::vector<Value>& a, const std::vector<Vector>& vecs,
-             int64_t row) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    const Value& va = a[k];
-    Value vb = vecs[k].GetValue(row);
-    if (va.type != vb.type) return false;
-    switch (va.type) {
-      case DataType::kBool:
-        if (va.b != vb.b) return false;
-        break;
-      case DataType::kInt64:
-        if (va.i != vb.i) return false;
-        break;
-      case DataType::kFloat:
-        if (va.f != vb.f) return false;
-        break;
-    }
-  }
-  return true;
 }
 
 }  // namespace
+
+GroupTable::GroupTable(size_t num_keys, const std::vector<AggregateSpec>& aggs)
+    : keys_(num_keys),
+      slots_(size_t{1} << (64 - kInitialSlotShift), -1),
+      slot_shift_(kInitialSlotShift) {
+  for (const AggregateSpec& a : aggs) {
+    const bool exact = a.argument != nullptr && a.argument->type == DataType::kInt64;
+    Mode mode = Mode::kCount;
+    if (a.argument != nullptr) {
+      switch (a.function) {
+        case AggFunction::kCount:
+          break;
+        case AggFunction::kSum:
+          mode = exact ? Mode::kSumInt : Mode::kSum;
+          break;
+        case AggFunction::kAvg:
+          mode = Mode::kAvg;
+          break;
+        case AggFunction::kMin:
+          mode = exact ? Mode::kMinInt : Mode::kMin;
+          break;
+        case AggFunction::kMax:
+          mode = exact ? Mode::kMaxInt : Mode::kMax;
+          break;
+      }
+    }
+    modes_.push_back(mode);
+  }
+  Track();
+}
+
+GroupTable::~GroupTable() { MemoryTracker::Global().Free(tracked_bytes_); }
+
+void GroupTable::Track() {
+  int64_t bytes = CapacityBytes(hashes_) + CapacityBytes(states_) +
+                  CapacityBytes(slots_);
+  for (const auto& col : keys_) bytes += CapacityBytes(col);
+  if (bytes == tracked_bytes_) return;
+  MemoryTracker::Global().Allocate(bytes - tracked_bytes_);
+  tracked_bytes_ = bytes;
+}
+
+void GroupTable::Grow() {
+  --slot_shift_;
+  slots_.assign(size_t{1} << (64 - slot_shift_), -1);
+  const size_t mask = slots_.size() - 1;
+  for (int64_t g = 0; g < num_groups_; ++g) {
+    size_t s = hashes_[static_cast<size_t>(g)] >> slot_shift_;
+    while (slots_[s] >= 0) s = (s + 1) & mask;
+    slots_[s] = static_cast<int32_t>(g);
+  }
+}
+
+int32_t GroupTable::Insert(const uint64_t* const* keys, int64_t row, uint64_t h,
+                           size_t slot) {
+  // Keep the load factor at or below one half.
+  if (2 * (num_groups_ + 1) > static_cast<int64_t>(slots_.size())) {
+    Grow();
+    const size_t mask = slots_.size() - 1;
+    slot = h >> slot_shift_;
+    while (slots_[slot] >= 0) slot = (slot + 1) & mask;
+  }
+  INDBML_CHECK(num_groups_ < std::numeric_limits<int32_t>::max()) << "too many groups";
+  const int32_t g = static_cast<int32_t>(num_groups_++);
+  slots_[slot] = g;
+  for (size_t k = 0; k < keys_.size(); ++k) keys_[k].push_back(keys[k][row]);
+  hashes_.push_back(h);
+  states_.resize(states_.size() + modes_.size());
+  return g;
+}
+
+void GroupTable::FindOrInsert(const uint64_t* const* keys, const uint64_t* hashes,
+                              int64_t n, int32_t* gids) {
+  const size_t num_keys = keys_.size();
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t h = hashes[i];
+    const size_t mask = slots_.size() - 1;
+    size_t s = h >> slot_shift_;
+    int32_t g;
+    for (; (g = slots_[s]) >= 0; s = (s + 1) & mask) {
+      const size_t gs = static_cast<size_t>(g);
+      if (hashes_[gs] != h) continue;
+      size_t k = 0;
+      while (k < num_keys && keys_[k][gs] == keys[k][i]) ++k;
+      if (k == num_keys) break;
+    }
+    gids[i] = g >= 0 ? g : Insert(keys, i, h, s);
+  }
+  Track();
+}
+
+void GroupTable::Update(const std::vector<Vector>& args, int64_t begin, int64_t n,
+                        const int32_t* gids) {
+  if (n == 0) return;
+  const int64_t stride = static_cast<int64_t>(modes_.size());
+  for (size_t a = 0; a < modes_.size(); ++a) {
+    AggState* st = states_.data() + a;
+    const Mode mode = modes_[a];
+    if (mode == Mode::kCount) {
+      for (int64_t i = 0; i < n; ++i) ++st[static_cast<int64_t>(gids[i]) * stride].count;
+      continue;
+    }
+    if (mode == Mode::kSumInt || mode == Mode::kMinInt || mode == Mode::kMaxInt) {
+      const int64_t* v = args[a].ints() + begin;
+      switch (mode) {
+        case Mode::kSumInt:
+          // Unsigned addition: wraps like BIGINT `+` without signed overflow.
+          UpdateRows(st, stride, gids, v, n, [](AggState& s, int64_t x) {
+            s.i = static_cast<int64_t>(static_cast<uint64_t>(s.i) +
+                                       static_cast<uint64_t>(x));
+          });
+          break;
+        case Mode::kMinInt:
+          UpdateRows(st, stride, gids, v, n, [](AggState& s, int64_t x) {
+            if (s.count == 0 || x < s.i) s.i = x;
+          });
+          break;
+        default:
+          UpdateRows(st, stride, gids, v, n, [](AggState& s, int64_t x) {
+            if (s.count == 0 || x > s.i) s.i = x;
+          });
+          break;
+      }
+      continue;
+    }
+    auto update = [&](const auto* v) {
+      switch (mode) {
+        case Mode::kMin:
+          UpdateRows(st, stride, gids, v, n, [](AggState& s, auto x) {
+            const double d = static_cast<double>(x);
+            if (s.count == 0 || d < s.d) s.d = d;
+          });
+          break;
+        case Mode::kMax:
+          UpdateRows(st, stride, gids, v, n, [](AggState& s, auto x) {
+            const double d = static_cast<double>(x);
+            if (s.count == 0 || d > s.d) s.d = d;
+          });
+          break;
+        default:  // kSum, kAvg
+          UpdateRows(st, stride, gids, v, n,
+                     [](AggState& s, auto x) { s.d += static_cast<double>(x); });
+          break;
+      }
+    };
+    const Vector& arg = args[a];
+    switch (arg.type()) {
+      case DataType::kBool:
+        update(arg.bools() + begin);
+        break;
+      case DataType::kInt64:
+        update(arg.ints() + begin);
+        break;
+      case DataType::kFloat:
+        update(arg.floats() + begin);
+        break;
+    }
+  }
+}
+
+void GroupTable::Emit(int64_t first, int64_t n, int64_t col, int64_t row,
+                      DataChunk* out) const {
+  if (n == 0) return;
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    DenormalizeKeys(keys_[k].data() + first, 1, n, &out->column(col++), row);
+  }
+  const int64_t stride = static_cast<int64_t>(modes_.size());
+  for (size_t a = 0; a < modes_.size(); ++a) {
+    const Mode mode = modes_[a];
+    const bool exact = mode == Mode::kCount || mode == Mode::kSumInt ||
+                       mode == Mode::kMinInt || mode == Mode::kMaxInt;
+    // The finalised value of group g: an exact int64 or a double.
+    auto int_value = [&](const AggState& s) {
+      return mode == Mode::kCount ? s.count : s.i;
+    };
+    auto double_value = [&](const AggState& s) {
+      if (exact) return static_cast<double>(int_value(s));
+      if (mode == Mode::kAvg) {
+        return s.count > 0 ? s.d / static_cast<double>(s.count) : 0.0;
+      }
+      return s.d;
+    };
+    const AggState* st = states_.data() + first * stride + static_cast<int64_t>(a);
+    Vector& dst = out->column(col++);
+    dst.ResizeForOverwrite(row + n, row);
+    switch (dst.type()) {
+      case DataType::kInt64: {
+        int64_t* o = dst.ints() + row;
+        for (int64_t i = 0; i < n; ++i) {
+          const AggState& s = st[i * stride];
+          o[i] = exact ? int_value(s) : static_cast<int64_t>(double_value(s));
+        }
+        break;
+      }
+      case DataType::kFloat: {
+        float* o = dst.floats() + row;
+        for (int64_t i = 0; i < n; ++i) {
+          o[i] = static_cast<float>(double_value(st[i * stride]));
+        }
+        break;
+      }
+      case DataType::kBool: {
+        uint8_t* o = dst.bools() + row;
+        for (int64_t i = 0; i < n; ++i) {
+          o[i] = double_value(st[i * stride]) != 0 ? 1 : 0;
+        }
+        break;
+      }
+    }
+  }
+}
+
+void GroupTable::Clear() {
+  std::fill(slots_.begin(), slots_.end(), -1);
+  for (auto& col : keys_) col.clear();
+  hashes_.clear();
+  states_.clear();
+  num_groups_ = 0;
+}
 
 HashAggregateOperator::HashAggregateOperator(OperatorPtr child,
                                              std::vector<ExprPtr> groups,
@@ -157,19 +310,18 @@ HashAggregateOperator::HashAggregateOperator(OperatorPtr child,
       groups_(std::move(groups)),
       aggregates_(std::move(aggregates)),
       types_(BuildTypes(groups_, aggregates_)),
-      names_(BuildNames(group_names, aggregates_)) {}
+      names_(BuildNames(group_names, aggregates_)),
+      table_(groups_.size(), aggregates_) {}
 
 Status HashAggregateOperator::Open(ExecContext* ctx) {
-  table_.clear();
-  emit_order_.clear();
+  table_.Clear();
   emit_cursor_ = 0;
   consumed_ = false;
   return child_->Open(ctx);
 }
 
 Status HashAggregateOperator::Rewind(ExecContext* ctx) {
-  table_.clear();
-  emit_order_.clear();
+  table_.Clear();
   emit_cursor_ = 0;
   consumed_ = false;
   return child_->Rewind(ctx);
@@ -177,94 +329,44 @@ Status HashAggregateOperator::Rewind(ExecContext* ctx) {
 
 Status HashAggregateOperator::Consume(ExecContext* ctx) {
   bool eof = false;
-  std::vector<Vector> group_vecs;
-  std::vector<Vector> arg_vecs;
-  std::vector<uint64_t> parts(groups_.size());
+  std::vector<std::vector<uint64_t>> norm_keys;
+  std::vector<uint64_t> hashes;
+  std::vector<Vector> args;
+  std::vector<const uint64_t*> key_ptrs(groups_.size());
+  std::vector<int32_t> gids;
   while (!eof) {
+    // Drop the previous chunk's argument views first, so Reset can reuse
+    // the input buffers.
+    args.clear();
     in_.Reset(child_->output_types());
     INDBML_RETURN_NOT_OK(child_->Next(ctx, &in_, &eof));
     if (in_.size == 0) continue;
-    const DataChunk& in = in_;
-    INDBML_RETURN_NOT_OK(EvalChunk(groups_, aggregates_, in, &group_vecs, &arg_vecs));
-    for (int64_t r = 0; r < in.size; ++r) {
-      for (size_t k = 0; k < group_vecs.size(); ++k) {
-        parts[k] = KeyPart(group_vecs[k], r);
-      }
-      uint64_t h = HashKeyParts(parts.data(), parts.size());
-      auto& bucket = table_[h];
-      GroupEntry* entry = nullptr;
-      for (auto& candidate : bucket) {
-        if (SameKey(candidate.key_values, group_vecs, r)) {
-          entry = &candidate;
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        GroupEntry fresh;
-        fresh.key_values.reserve(groups_.size());
-        for (size_t k = 0; k < group_vecs.size(); ++k) {
-          fresh.key_values.push_back(group_vecs[k].GetValue(r));
-        }
-        fresh.states.resize(aggregates_.size());
-        bucket.push_back(std::move(fresh));
-        entry = &bucket.back();
-      }
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        double v = aggregates_[a].argument ? ArgValue(arg_vecs[a], r) : 1.0;
-        entry->states[a].Update(v);
-      }
-    }
+    INDBML_RETURN_NOT_OK(
+        EvalChunk(groups_, aggregates_, in_, 0, &norm_keys, &hashes, &args));
+    for (size_t k = 0; k < groups_.size(); ++k) key_ptrs[k] = norm_keys[k].data();
+    gids.resize(static_cast<size_t>(in_.size));
+    table_.FindOrInsert(key_ptrs.data(), hashes.data(), in_.size, gids.data());
+    table_.Update(args, 0, in_.size, gids.data());
   }
   // SQL semantics: a global aggregate (no GROUP BY) over empty input still
   // produces one row (COUNT = 0, sums empty).
-  if (groups_.empty() && table_.empty()) {
-    GroupEntry empty_entry;
-    empty_entry.states.resize(aggregates_.size());
-    table_[0].push_back(std::move(empty_entry));
+  if (groups_.empty() && table_.size() == 0) {
+    int32_t gid;
+    table_.FindOrInsert(nullptr, &kKeyHashSeed, 1, &gid);
   }
-  emit_order_.reserve(table_.size());
-  for (const auto& [h, bucket] : table_) {
-    for (const auto& entry : bucket) emit_order_.push_back(&entry);
-  }
-  int64_t bytes = HashTableBytes();
-  MemoryTracker::Global().Allocate(bytes - tracked_bytes_);
-  tracked_bytes_ = bytes;
   consumed_ = true;
   return Status::OK();
 }
 
-HashAggregateOperator::~HashAggregateOperator() {
-  MemoryTracker::Global().Free(tracked_bytes_);
-}
-
 Status HashAggregateOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
   if (!consumed_) INDBML_RETURN_NOT_OK(Consume(ctx));
-  while (emit_cursor_ < emit_order_.size() && out->size < kDefaultVectorSize) {
-    const GroupEntry& entry = *emit_order_[emit_cursor_++];
-    int64_t col = 0;
-    for (const Value& v : entry.key_values) {
-      out->column(col++).Append(v);
-    }
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      out->column(col++).Append(
-          entry.states[a].Finalize(aggregates_[a].function, aggregates_[a].result_type));
-    }
-    ++out->size;
-  }
-  *eof = emit_cursor_ >= emit_order_.size();
+  const int64_t n = std::min<int64_t>(kDefaultVectorSize - out->size,
+                                      table_.size() - emit_cursor_);
+  table_.Emit(emit_cursor_, n, 0, out->size, out);
+  out->size += n;
+  emit_cursor_ += n;
+  *eof = emit_cursor_ >= table_.size();
   return Status::OK();
-}
-
-int64_t HashAggregateOperator::HashTableBytes() const {
-  int64_t bytes = 0;
-  for (const auto& [h, bucket] : table_) {
-    bytes += 48;  // bucket overhead
-    for (const auto& entry : bucket) {
-      bytes += static_cast<int64_t>(entry.key_values.size() * sizeof(Value) +
-                                    entry.states.size() * sizeof(AggState));
-    }
-  }
-  return bytes;
 }
 
 StreamingAggregateOperator::StreamingAggregateOperator(
@@ -276,135 +378,111 @@ StreamingAggregateOperator::StreamingAggregateOperator(
       aggregates_(std::move(aggregates)),
       types_(BuildTypes(groups_, aggregates_)),
       names_(BuildNames(group_names, aggregates_)),
-      prefix_count_(prefix_count) {
+      prefix_count_(prefix_count),
+      // The rest keys; an invalid prefix_count fails the check below.
+      table_(groups_.size() - std::min<size_t>(groups_.size(), std::max(prefix_count, 0)),
+             aggregates_) {
   INDBML_CHECK(prefix_count_ >= 1 &&
                prefix_count_ <= static_cast<int>(groups_.size()))
       << "invalid sorted-prefix length";
+  prefix_.resize(static_cast<size_t>(prefix_count_));
+}
+
+void StreamingAggregateOperator::ResetStream() {
+  table_.Clear();
+  group_active_ = false;
+  flushing_ = false;
+  input_eof_ = false;
+  args_.clear();
+  in_.Reset(child_->output_types());
+  in_row_ = 0;
 }
 
 Status StreamingAggregateOperator::Open(ExecContext* ctx) {
-  group_active_ = false;
-  input_eof_ = false;
-  rest_groups_.clear();
-  rest_insertion_order_.clear();
+  ResetStream();
   peak_group_count_ = 0;
   return child_->Open(ctx);
 }
 
 Status StreamingAggregateOperator::Rewind(ExecContext* ctx) {
-  group_active_ = false;
-  input_eof_ = false;
-  current_prefix_.clear();
-  rest_groups_.clear();
-  rest_insertion_order_.clear();
+  ResetStream();
   // peak_group_count_ deliberately survives: it reports the peak across the
   // whole execution, morsels included.
   return child_->Rewind(ctx);
 }
 
-void StreamingAggregateOperator::FlushPrefixGroup(DataChunk* out) {
-  int64_t group_count = 0;
-  for (uint64_t h : rest_insertion_order_) {
-    for (const GroupEntry& entry : rest_groups_[h]) {
-      int64_t col = 0;
-      for (const Value& v : current_prefix_) out->column(col++).Append(v);
-      for (const Value& v : entry.rest_key) out->column(col++).Append(v);
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        out->column(col++).Append(entry.states[a].Finalize(
-            aggregates_[a].function, aggregates_[a].result_type));
-      }
-      ++out->size;
-      ++group_count;
-    }
+void StreamingAggregateOperator::EmitFlush(DataChunk* out) {
+  const int64_t n = std::min<int64_t>(kDefaultVectorSize - out->size,
+                                      table_.size() - flush_cursor_);
+  for (size_t k = 0; k < prefix_.size(); ++k) {
+    DenormalizeKeys(&prefix_[k], 0, n, &out->column(static_cast<int64_t>(k)),
+                    out->size);
   }
-  peak_group_count_ = std::max(peak_group_count_, group_count);
-  rest_groups_.clear();
-  rest_insertion_order_.clear();
+  table_.Emit(flush_cursor_, n, prefix_count_, out->size, out);
+  out->size += n;
+  flush_cursor_ += n;
 }
 
 Status StreamingAggregateOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
   *eof = false;
-  std::vector<Vector> group_vecs;
-  std::vector<Vector> arg_vecs;
   const size_t prefix = static_cast<size_t>(prefix_count_);
   const size_t rest = groups_.size() - prefix;
-  std::vector<uint64_t> rest_parts(rest);
-  while (!input_eof_ && out->size < kDefaultVectorSize) {
-    in_.Reset(child_->output_types());
-    INDBML_RETURN_NOT_OK(child_->Next(ctx, &in_, &input_eof_));
-    if (in_.size == 0) continue;
-    const DataChunk& in = in_;
-    INDBML_RETURN_NOT_OK(EvalChunk(groups_, aggregates_, in, &group_vecs, &arg_vecs));
-    for (int64_t r = 0; r < in.size; ++r) {
-      bool same_prefix = group_active_;
-      if (same_prefix) {
-        for (size_t k = 0; k < prefix; ++k) {
-          Value v = group_vecs[k].GetValue(r);
-          const Value& p = current_prefix_[k];
-          bool eq = v.type == p.type &&
-                    (v.type == DataType::kInt64
-                         ? v.i == p.i
-                         : (v.type == DataType::kFloat ? v.f == p.f : v.b == p.b));
-          if (!eq) {
-            same_prefix = false;
-            break;
-          }
-        }
+  std::vector<const uint64_t*> rest_ptrs(rest);
+  while (out->size < kDefaultVectorSize) {
+    if (flushing_) {
+      EmitFlush(out);
+      if (flush_cursor_ < table_.size()) break;  // out is full
+      table_.Clear();
+      flushing_ = false;
+      group_active_ = false;
+      continue;
+    }
+    if (in_row_ >= in_.size) {
+      if (input_eof_) {
+        if (!group_active_) break;
+        flushing_ = true;
+        flush_cursor_ = 0;
+        continue;
       }
-      if (!same_prefix) {
-        if (group_active_) FlushPrefixGroup(out);
-        current_prefix_.clear();
-        for (size_t k = 0; k < prefix; ++k) {
-          current_prefix_.push_back(group_vecs[k].GetValue(r));
-        }
-        group_active_ = true;
+      args_.clear();
+      in_.Reset(child_->output_types());
+      INDBML_RETURN_NOT_OK(child_->Next(ctx, &in_, &input_eof_));
+      in_row_ = 0;
+      if (in_.size == 0) continue;
+      INDBML_RETURN_NOT_OK(EvalChunk(groups_, aggregates_, in_, prefix, &norm_keys_,
+                                     &hashes_, &args_));
+      gids_.resize(static_cast<size_t>(in_.size));
+      continue;
+    }
+    // Aggregate the run of rows that share the current prefix.
+    const int64_t begin = in_row_;
+    if (!group_active_) {
+      for (size_t k = 0; k < prefix; ++k) {
+        prefix_[k] = norm_keys_[k][static_cast<size_t>(begin)];
       }
-      // Locate (or create) the rest-key group within the current prefix.
-      for (size_t k = 0; k < rest; ++k) {
-        rest_parts[k] = KeyPart(group_vecs[prefix + k], r);
+      group_active_ = true;
+    }
+    int64_t end = begin;
+    for (; end < in_.size; ++end) {
+      bool same = true;
+      for (size_t k = 0; k < prefix && same; ++k) {
+        same = norm_keys_[k][static_cast<size_t>(end)] == prefix_[k];
       }
-      uint64_t h = HashKeyParts(rest_parts.data(), rest_parts.size());
-      auto [it, inserted] = rest_groups_.try_emplace(h);
-      if (inserted) rest_insertion_order_.push_back(h);
-      GroupEntry* entry = nullptr;
-      for (auto& candidate : it->second) {
-        bool eq = true;
-        for (size_t k = 0; k < rest; ++k) {
-          Value v = group_vecs[prefix + k].GetValue(r);
-          const Value& p = candidate.rest_key[k];
-          if (!(v.type == p.type &&
-                (v.type == DataType::kInt64
-                     ? v.i == p.i
-                     : (v.type == DataType::kFloat ? v.f == p.f : v.b == p.b)))) {
-            eq = false;
-            break;
-          }
-        }
-        if (eq) {
-          entry = &candidate;
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        GroupEntry fresh;
-        for (size_t k = 0; k < rest; ++k) {
-          fresh.rest_key.push_back(group_vecs[prefix + k].GetValue(r));
-        }
-        fresh.states.resize(aggregates_.size());
-        it->second.push_back(std::move(fresh));
-        entry = &it->second.back();
-      }
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        double v = aggregates_[a].argument ? ArgValue(arg_vecs[a], r) : 1.0;
-        entry->states[a].Update(v);
-      }
+      if (!same) break;
+    }
+    for (size_t k = 0; k < rest; ++k) rest_ptrs[k] = norm_keys_[prefix + k].data() + begin;
+    table_.FindOrInsert(rest_ptrs.data(), hashes_.data() + begin, end - begin,
+                        gids_.data());
+    table_.Update(args_, begin, end - begin, gids_.data());
+    peak_group_count_ = std::max(peak_group_count_, table_.size());
+    in_row_ = end;
+    if (end < in_.size) {
+      // The prefix changed: emit its groups before aggregating further.
+      flushing_ = true;
+      flush_cursor_ = 0;
     }
   }
-  if (input_eof_ && group_active_) {
-    FlushPrefixGroup(out);
-    group_active_ = false;
-  }
-  *eof = input_eof_ && !group_active_;
+  *eof = input_eof_ && in_row_ >= in_.size && !group_active_;
   return Status::OK();
 }
 

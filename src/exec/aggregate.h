@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/operator.h"
@@ -23,33 +22,84 @@ struct AggregateSpec {
   std::string name;
 };
 
-/// Running state of one aggregate within one group. Sums accumulate in
-/// double precision so float summation matches the BLAS reference closely.
+/// Running state of one aggregate within one group. Float and bool
+/// arguments, and every AVG, accumulate in double, in row order, so float
+/// summation matches the BLAS reference closely; SUM/MIN/MAX over BIGINT
+/// accumulate exactly in int64 (a SUM wraps like BIGINT `+`).
 struct AggState {
-  double sum = 0;
-  int64_t count = 0;
-  double min = 0;
-  double max = 0;
-  bool seen = false;
+  int64_t count = 0;  ///< rows seen (COUNT, AVG's divisor, MIN/MAX's "any")
+  double d = 0;       ///< double sum or running MIN/MAX
+  int64_t i = 0;      ///< int64 sum or running MIN/MAX
+};
 
-  void Update(double v) {
-    sum += v;
-    ++count;
-    if (!seen || v < min) min = v;
-    if (!seen || v > max) max = v;
-    seen = true;
-  }
-  Value Finalize(AggFunction fn, DataType result_type) const;
+/// \brief Typed group table shared by both aggregation operators.
+///
+/// Group keys are stored column-wise as NormalizeKeys words (so -0.0 and
+/// 0.0 are one group, as in the hash join) with one hash per group, found
+/// by linear probing over a power-of-two slot array. Groups are numbered in
+/// first-seen order, which is also the emission order, and their aggregate
+/// state is one AggState array indexed [group * aggregates + a]. The table
+/// reports the bytes of its slots, hashes, keys and states to the
+/// MemoryTracker.
+class GroupTable {
+ public:
+  GroupTable(size_t num_keys, const std::vector<AggregateSpec>& aggs);
+  ~GroupTable();
+
+  GroupTable(const GroupTable&) = delete;
+  GroupTable& operator=(const GroupTable&) = delete;
+
+  int64_t size() const { return num_groups_; }
+
+  /// Finds or inserts the group of each of `n` rows: `keys[k][i]` is row
+  /// i's normalised key k and `hashes[i]` its HashKeyColumn hash. Writes
+  /// the group ids to `gids[0..n)`.
+  void FindOrInsert(const uint64_t* const* keys, const uint64_t* hashes, int64_t n,
+                    int32_t* gids);
+
+  /// Adds rows [begin, begin + n) of the flat argument vectors (`args[a]`
+  /// is ignored for COUNT) to the groups `gids[0..n)`.
+  void Update(const std::vector<Vector>& args, int64_t begin, int64_t n,
+              const int32_t* gids);
+
+  /// Writes groups [first, first + n) as output rows [row, row + n):
+  /// keys into columns col, col+1, ..., finalised aggregates after them.
+  void Emit(int64_t first, int64_t n, int64_t col, int64_t row, DataChunk* out) const;
+
+  /// Drops every group; capacity (and its tracked bytes) is kept.
+  void Clear();
+
+ private:
+  /// How an aggregate accumulates (fixed per aggregate by its function and
+  /// argument type).
+  enum class Mode { kCount, kSum, kAvg, kMin, kMax, kSumInt, kMinInt, kMaxInt };
+
+  static constexpr int kInitialSlotShift = 60;  ///< 16 slots
+
+  /// Appends row `row` as a new group at the empty slot `slot` (re-found if
+  /// the table grows first); returns its id.
+  int32_t Insert(const uint64_t* const* keys, int64_t row, uint64_t h, size_t slot);
+  void Grow();
+  void Track();
+
+  std::vector<Mode> modes_;
+  std::vector<std::vector<uint64_t>> keys_;  ///< [key][group]
+  std::vector<uint64_t> hashes_;             ///< [group]
+  std::vector<AggState> states_;             ///< [group * aggregates + a]
+  std::vector<int32_t> slots_;               ///< group id, -1 if empty
+  int slot_shift_;                           ///< slot = hash >> slot_shift_
+  int64_t num_groups_ = 0;
+  int64_t tracked_bytes_ = 0;
 };
 
 /// \brief Hash-based grouped aggregation (pipeline breaker): the default
-/// physical choice when the input carries no usable order.
+/// physical choice when the input carries no usable order. Emits groups in
+/// first-seen order.
 class HashAggregateOperator final : public Operator {
  public:
   HashAggregateOperator(OperatorPtr child, std::vector<ExprPtr> groups,
                         std::vector<std::string> group_names,
                         std::vector<AggregateSpec> aggregates);
-  ~HashAggregateOperator() override;
 
   const std::vector<DataType>& output_types() const override { return types_; }
   const std::vector<std::string>& output_names() const override { return names_; }
@@ -60,15 +110,7 @@ class HashAggregateOperator final : public Operator {
   Status Rewind(ExecContext* ctx) override;
   bool MorselDriven() const override { return child_->MorselDriven(); }
 
-  /// Approximate bytes held by the hash table (memory experiments).
-  int64_t HashTableBytes() const;
-
  private:
-  struct GroupEntry {
-    std::vector<Value> key_values;
-    std::vector<AggState> states;
-  };
-
   /// Drains the (already open) child into the group table. Runs lazily on
   /// the first Next after Open/Rewind so each morsel aggregates only its
   /// own rows.
@@ -80,10 +122,8 @@ class HashAggregateOperator final : public Operator {
   std::vector<DataType> types_;
   std::vector<std::string> names_;
 
-  std::unordered_map<uint64_t, std::vector<GroupEntry>> table_;
-  std::vector<const GroupEntry*> emit_order_;
-  size_t emit_cursor_ = 0;
-  int64_t tracked_bytes_ = 0;
+  GroupTable table_;
+  int64_t emit_cursor_ = 0;
   bool consumed_ = false;
   DataChunk in_;  ///< reused input buffer (no per-batch reallocation)
 };
@@ -93,15 +133,17 @@ class HashAggregateOperator final : public Operator {
 /// The first `prefix_count` group keys are guaranteed by the optimizer to be
 /// a sorted/grouped prefix of the input (all rows with equal prefix values
 /// arrive contiguously, e.g. the unique tuple ID after an order-preserving
-/// join). The remaining keys are hashed *within* the current prefix group,
-/// and all groups of a prefix are emitted as soon as the prefix changes.
+/// join). The remaining keys are hashed *within* the current prefix group
+/// (a GroupTable), and all groups of a prefix are emitted as soon as the
+/// prefix changes.
 ///
 /// With prefix_count == #groups this degenerates to a classic order-based
 /// aggregation with O(1) state; with a shorter prefix the state is bounded
 /// by the number of distinct remaining-key values per prefix group (one
 /// layer's node count in the ModelJoin queries) instead of the whole input —
 /// which is what makes the generated inference pipeline low-memory and
-/// fully pipelined.
+/// fully pipelined. Output chunks hold at most kDefaultVectorSize rows; a
+/// flush that does not fit resumes on the next call.
 class StreamingAggregateOperator final : public Operator {
  public:
   StreamingAggregateOperator(OperatorPtr child, std::vector<ExprPtr> groups,
@@ -121,12 +163,10 @@ class StreamingAggregateOperator final : public Operator {
   int64_t peak_group_count() const { return peak_group_count_; }
 
  private:
-  struct GroupEntry {
-    std::vector<Value> rest_key;
-    std::vector<AggState> states;
-  };
-
-  void FlushPrefixGroup(DataChunk* out);
+  void ResetStream();
+  /// Emits groups of the finished prefix from flush_cursor_ on, as many as
+  /// fit into `out`.
+  void EmitFlush(DataChunk* out);
 
   OperatorPtr child_;
   std::vector<ExprPtr> groups_;
@@ -135,13 +175,20 @@ class StreamingAggregateOperator final : public Operator {
   std::vector<std::string> names_;
   int prefix_count_;
 
+  GroupTable table_;  ///< groups of the current prefix, by the rest keys
+  std::vector<uint64_t> prefix_;  ///< normalised keys of the current prefix
   bool group_active_ = false;
+  bool flushing_ = false;
+  int64_t flush_cursor_ = 0;
   bool input_eof_ = false;
-  std::vector<Value> current_prefix_;
-  std::unordered_map<uint64_t, std::vector<GroupEntry>> rest_groups_;
-  std::vector<uint64_t> rest_insertion_order_;
   int64_t peak_group_count_ = 0;
-  DataChunk in_;  ///< reused input buffer (no per-batch reallocation)
+
+  DataChunk in_;  ///< input chunk being consumed (kept across calls)
+  int64_t in_row_ = 0;
+  std::vector<std::vector<uint64_t>> norm_keys_;  ///< [key][row] of in_
+  std::vector<uint64_t> hashes_;                  ///< rest-key hashes of in_
+  std::vector<Vector> args_;                      ///< aggregate args of in_
+  std::vector<int32_t> gids_;
 };
 
 }  // namespace indbml::exec

@@ -1,9 +1,11 @@
 #include "exec/basic_operators.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/config.h"
+#include "exec/gather.h"
 
 namespace indbml::exec {
 
@@ -86,7 +88,8 @@ Status SortOperator::Open(ExecContext* ctx) {
 }
 
 Status SortOperator::Rewind(ExecContext* ctx) {
-  materialized_ = QueryResult();
+  columns_.clear();
+  rows_ = 0;
   order_.clear();
   cursor_ = 0;
   sorted_ = false;
@@ -94,45 +97,31 @@ Status SortOperator::Rewind(ExecContext* ctx) {
 }
 
 Status SortOperator::Materialize(ExecContext* ctx) {
-  materialized_ = QueryResult();
-  materialized_.names = child_->output_names();
-  materialized_.types = child_->output_types();
-  INDBML_RETURN_NOT_OK(DrainAppend(child_.get(), ctx, &materialized_));
-  // Evaluate the sort keys per chunk, then sort a (chunk,row) index vector.
-  std::vector<std::vector<Vector>> key_cols;  // [chunk][key]
-  key_cols.reserve(materialized_.chunks.size());
-  for (const DataChunk& chunk : materialized_.chunks) {
-    std::vector<Vector> keys;
-    keys.reserve(keys_.size());
-    for (const auto& k : keys_) {
-      Vector v(k->type);
-      INDBML_RETURN_NOT_OK(EvaluateExpr(*k, chunk, &v));
-      keys.push_back(std::move(v));
-    }
-    key_cols.push_back(std::move(keys));
+  INDBML_RETURN_NOT_OK(DrainColumns(child_.get(), ctx, &columns_, &rows_));
+  // Evaluate the sort keys once over the flat input, then sort a row index
+  // vector; rows are compared as doubles.
+  const DataChunk input = ColumnsChunk(columns_, rows_);
+  std::vector<Vector> key_cols;
+  std::vector<TypedDoubleReader> keys;
+  key_cols.reserve(keys_.size());
+  keys.reserve(keys_.size());
+  for (const auto& k : keys_) {
+    key_cols.emplace_back(k->type);
+    INDBML_RETURN_NOT_OK(EvaluateExpr(*k, input, &key_cols.back()));
+    keys.emplace_back(key_cols.back());
   }
-  order_.clear();
-  order_.reserve(static_cast<size_t>(materialized_.num_rows));
-  for (size_t c = 0; c < materialized_.chunks.size(); ++c) {
-    for (int64_t r = 0; r < materialized_.chunks[c].size; ++r) {
-      order_.emplace_back(static_cast<int64_t>(c), r);
+  order_.resize(static_cast<size_t>(rows_));
+  std::iota(order_.begin(), order_.end(), 0);
+  std::stable_sort(order_.begin(), order_.end(), [&](int32_t a, int32_t b) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const double va = keys[k].DoubleAt(a);
+      const double vb = keys[k].DoubleAt(b);
+      if (va == vb) continue;
+      bool lt = va < vb;
+      return ascending_[k] ? lt : !lt;
     }
-  }
-  std::stable_sort(order_.begin(), order_.end(),
-                   [&](const auto& a, const auto& b) {
-                     for (size_t k = 0; k < keys_.size(); ++k) {
-                       double va = key_cols[static_cast<size_t>(a.first)][k]
-                                       .GetValue(a.second)
-                                       .AsDouble();
-                       double vb = key_cols[static_cast<size_t>(b.first)][k]
-                                       .GetValue(b.second)
-                                       .AsDouble();
-                       if (va == vb) continue;
-                       bool lt = va < vb;
-                       return ascending_[k] ? lt : !lt;
-                     }
-                     return false;
-                   });
+    return false;
+  });
   cursor_ = 0;
   sorted_ = true;
   return Status::OK();
@@ -140,10 +129,14 @@ Status SortOperator::Materialize(ExecContext* ctx) {
 
 Status SortOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
   if (!sorted_) INDBML_RETURN_NOT_OK(Materialize(ctx));
-  while (cursor_ < order_.size() && out->size < kDefaultVectorSize) {
-    auto [c, r] = order_[cursor_++];
-    AppendRowTo(materialized_.chunks[static_cast<size_t>(c)], r, out);
+  const int64_t n = std::min<int64_t>(kDefaultVectorSize - out->size,
+                                      rows_ - static_cast<int64_t>(cursor_));
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    GatherIndexed(columns_[c], order_.data() + cursor_, n,
+                  &out->column(static_cast<int64_t>(c)), out->size);
   }
+  out->size += n;
+  cursor_ += static_cast<size_t>(n);
   *eof = cursor_ >= order_.size();
   return Status::OK();
 }

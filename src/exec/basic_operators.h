@@ -121,7 +121,8 @@ class ChunkSourceOperator final : public Operator {
   size_t index_ = 0;
 };
 
-/// \brief ORDER BY: materialises the input and emits it sorted.
+/// \brief ORDER BY: materialises the input into flat columns, sorts a row
+/// index vector and emits it in order through GatherIndexed.
 class SortOperator final : public Operator {
  public:
   /// `ascending[i]` pairs with `keys[i]`.
@@ -149,8 +150,9 @@ class SortOperator final : public Operator {
   OperatorPtr child_;
   std::vector<ExprPtr> keys_;
   std::vector<bool> ascending_;
-  QueryResult materialized_;
-  std::vector<std::pair<int64_t, int64_t>> order_;  ///< (chunk, row) in output order
+  std::vector<Vector> columns_;  ///< the drained input, one flat column each
+  int64_t rows_ = 0;
+  std::vector<int32_t> order_;  ///< input row indexes in output order
   size_t cursor_ = 0;
   bool sorted_ = false;
 };

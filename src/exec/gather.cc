@@ -1,6 +1,7 @@
 #include "exec/gather.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "common/simd.h"
 
@@ -66,7 +67,126 @@ void GatherFloatSelectedStrided(const float* base, const int32_t* idx,
   for (; i < n; ++i) dst[i * stride] = base[idx[i]];
 }
 
+template <typename T>
+void GatherTyped(const T* base, const SelectionVector* sel, const int32_t* idx,
+                 int64_t n, T* dst) {
+  if (idx == nullptr) {
+    if (sel == nullptr) {
+      std::memcpy(dst, base, static_cast<size_t>(n) * sizeof(T));
+      return;
+    }
+    idx = sel->data();
+    sel = nullptr;
+  }
+  if (sel == nullptr) {
+    for (int64_t i = 0; i < n; ++i) dst[i] = base[idx[i]];
+    return;
+  }
+  const int32_t* s = sel->data();
+  for (int64_t i = 0; i < n; ++i) dst[i] = base[s[idx[i]]];
+}
+
+template <typename T>
+void NormalizeTyped(const T* base, const SelectionVector* sel, int64_t n,
+                    uint64_t* dst) {
+  auto word = [](T x) -> uint64_t {
+    if constexpr (std::is_same_v<T, float>) {
+      if (x == 0.0f) x = 0.0f;  // -0.0 and 0.0 are one key
+      uint32_t bits;
+      std::memcpy(&bits, &x, sizeof(bits));
+      return bits;
+    } else if constexpr (std::is_same_v<T, uint8_t>) {
+      return x != 0 ? 1 : 0;
+    } else {
+      return static_cast<uint64_t>(x);
+    }
+  };
+  if (sel == nullptr) {
+    for (int64_t i = 0; i < n; ++i) dst[i] = word(base[i]);
+    return;
+  }
+  const int32_t* s = sel->data();
+  for (int64_t i = 0; i < n; ++i) dst[i] = word(base[s[i]]);
+}
+
 }  // namespace
+
+void GatherIndexed(const Vector& src, const int32_t* idx, int64_t n, Vector* dst,
+                   int64_t dst_row) {
+  INDBML_DCHECK(src.type() == dst->type());
+  dst->ResizeForOverwrite(dst_row + n, dst_row);
+  if (n == 0) return;
+  const SelectionVector* sel = src.selection();
+  switch (src.type()) {
+    case DataType::kBool:
+      GatherTyped(src.BaseBools(), sel, idx, n, dst->bools() + dst_row);
+      return;
+    case DataType::kInt64:
+      GatherTyped(src.BaseInts(), sel, idx, n, dst->ints() + dst_row);
+      return;
+    case DataType::kFloat:
+      GatherTyped(src.BaseFloats(), sel, idx, n, dst->floats() + dst_row);
+      return;
+  }
+}
+
+void NormalizeKeys(const Vector& v, uint64_t* dst) {
+  const int64_t n = v.size();
+  if (n == 0) return;
+  switch (v.type()) {
+    case DataType::kBool:
+      NormalizeTyped(v.BaseBools(), v.selection(), n, dst);
+      return;
+    case DataType::kInt64:
+      NormalizeTyped(v.BaseInts(), v.selection(), n, dst);
+      return;
+    case DataType::kFloat:
+      NormalizeTyped(v.BaseFloats(), v.selection(), n, dst);
+      return;
+  }
+}
+
+void DenormalizeKeys(const uint64_t* keys, int64_t stride, int64_t n,
+                     Vector* dst, int64_t dst_row) {
+  dst->ResizeForOverwrite(dst_row + n, dst_row);
+  if (n == 0) return;
+  switch (dst->type()) {
+    case DataType::kBool: {
+      uint8_t* out = dst->bools() + dst_row;
+      for (int64_t i = 0; i < n; ++i) {
+        out[i] = static_cast<uint8_t>(keys[i * stride]);
+      }
+      return;
+    }
+    case DataType::kInt64: {
+      int64_t* out = dst->ints() + dst_row;
+      for (int64_t i = 0; i < n; ++i) {
+        out[i] = static_cast<int64_t>(keys[i * stride]);
+      }
+      return;
+    }
+    case DataType::kFloat: {
+      float* out = dst->floats() + dst_row;
+      for (int64_t i = 0; i < n; ++i) {
+        const uint32_t bits = static_cast<uint32_t>(keys[i * stride]);
+        std::memcpy(&out[i], &bits, sizeof(bits));
+      }
+      return;
+    }
+  }
+}
+
+void HashKeyColumn(const uint64_t* keys, int64_t n, uint64_t* hashes) {
+  for (int64_t i = 0; i < n; ++i) {
+    uint64_t h = hashes[i] ^ keys[i];
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    hashes[i] = h;
+  }
+}
 
 void GatherToFloat(const Vector& v, float* dst) {
   const int64_t n = v.size();

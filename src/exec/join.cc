@@ -1,20 +1,38 @@
 #include "exec/join.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/config.h"
 #include "common/memory_tracker.h"
+#include "exec/gather.h"
 
 namespace indbml::exec {
 
-uint64_t HashKeyParts(const uint64_t* parts, size_t count) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < count; ++i) {
-    h ^= parts[i];
-    h *= 1099511628211ULL;
+namespace {
+
+template <typename T>
+int64_t CapacityBytes(const std::vector<T>& v) {
+  return static_cast<int64_t>(v.capacity() * sizeof(T));
+}
+
+}  // namespace
+
+Status NormalizeAndHashKeys(const std::vector<ExprPtr>& keys, const DataChunk& chunk,
+                           size_t hash_from,
+                           std::vector<std::vector<uint64_t>>* norm_keys,
+                           std::vector<uint64_t>* hashes) {
+  const size_t n = static_cast<size_t>(chunk.size);
+  norm_keys->resize(keys.size());
+  hashes->assign(n, kKeyHashSeed);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    Vector v(keys[k]->type);
+    INDBML_RETURN_NOT_OK(EvaluateExpr(*keys[k], chunk, &v));
+    std::vector<uint64_t>& col = (*norm_keys)[k];
+    col.resize(n);
+    NormalizeKeys(v, col.data());
+    if (k >= hash_from) HashKeyColumn(col.data(), chunk.size, hashes->data());
   }
-  return h;
+  return Status::OK();
 }
 
 HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
@@ -23,82 +41,53 @@ HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
     : probe_(std::move(probe)),
       build_(std::move(build)),
       probe_keys_(std::move(probe_keys)),
-      build_keys_(std::move(build_keys)) {
+      build_keys_(std::move(build_keys)),
+      probe_sel_(kDefaultVectorSize),
+      build_sel_(kDefaultVectorSize) {
   types_ = probe_->output_types();
   names_ = probe_->output_names();
   for (DataType t : build_->output_types()) types_.push_back(t);
   for (const std::string& n : build_->output_names()) names_.push_back(n);
 }
 
-uint64_t HashJoinOperator::NormalizeKey(const Vector& v, int64_t row) {
-  switch (v.type()) {
-    case DataType::kBool:
-      return v.bools()[row] ? 1 : 0;
-    case DataType::kInt64:
-      return static_cast<uint64_t>(v.ints()[row]);
-    case DataType::kFloat: {
-      // Bit-cast with -0.0 normalisation so 0.0f == -0.0f keys collide.
-      float f = v.floats()[row];
-      if (f == 0.0f) f = 0.0f;
-      uint32_t bits;
-      std::memcpy(&bits, &f, sizeof(bits));
-      return bits;
-    }
-  }
-  return 0;
-}
-
 Status HashJoinOperator::EnsureBuilt(ExecContext* ctx) {
-  build_data_ = QueryResult();
-  build_data_.names = build_->output_names();
-  build_data_.types = build_->output_types();
-  INDBML_RETURN_NOT_OK(DrainAppend(build_.get(), ctx, &build_data_));
-  int64_t row_index = 0;
-  build_locator_.reserve(static_cast<size_t>(build_data_.num_rows));
-  build_key_rows_.reserve(static_cast<size_t>(build_data_.num_rows));
-  for (size_t c = 0; c < build_data_.chunks.size(); ++c) {
-    const DataChunk& chunk = build_data_.chunks[c];
-    std::vector<Vector> key_vecs;
-    key_vecs.reserve(build_keys_.size());
-    for (const auto& k : build_keys_) {
-      Vector v(k->type);
-      INDBML_RETURN_NOT_OK(EvaluateExpr(*k, chunk, &v));
-      // NormalizeKey reads raw typed pointers; key refs over a filtered
-      // chunk arrive as selected views, so the build is a flatten boundary.
-      v.Flatten();
-      key_vecs.push_back(std::move(v));
-    }
-    for (int64_t r = 0; r < chunk.size; ++r) {
-      std::vector<uint64_t> parts(build_keys_.size());
-      for (size_t k = 0; k < key_vecs.size(); ++k) {
-        parts[k] = NormalizeKey(key_vecs[k], r);
-      }
-      uint64_t h = HashKeyParts(parts.data(), parts.size());
-      hash_table_.emplace(h, row_index);
-      build_key_rows_.push_back(std::move(parts));
-      build_locator_.emplace_back(static_cast<int32_t>(c), static_cast<int32_t>(r));
-      ++row_index;
-    }
+  INDBML_RETURN_NOT_OK(
+      DrainColumns(build_.get(), ctx, &build_columns_, &build_rows_));
+  INDBML_RETURN_NOT_OK(NormalizeAndHashKeys(build_keys_,
+                                            ColumnsChunk(build_columns_, build_rows_),
+                                            0, &build_norm_keys_, &build_hashes_));
+  // At least two buckets per build row keeps chains ~1 long; the bucket is
+  // the hash's high bits.
+  int bits = 1;
+  while ((int64_t{1} << bits) < 2 * build_rows_) ++bits;
+  bucket_shift_ = 64 - bits;
+  heads_.assign(size_t{1} << bits, -1);
+  next_.resize(static_cast<size_t>(build_rows_));
+  // Inserting back to front at the heads leaves every chain in build order.
+  for (int64_t r = build_rows_ - 1; r >= 0; --r) {
+    int32_t& head = heads_[build_hashes_[static_cast<size_t>(r)] >> bucket_shift_];
+    next_[static_cast<size_t>(r)] = head;
+    head = static_cast<int32_t>(r);
   }
-  // Report hash-table overhead (the chunks themselves are tracked by their
-  // Vectors).
-  int64_t overhead = static_cast<int64_t>(
-      hash_table_.size() * (sizeof(uint64_t) + sizeof(int64_t) + 16) +
-      build_key_rows_.size() * (build_keys_.size() * 8 + 24) +
-      build_locator_.size() * 8);
-  MemoryTracker::Global().Allocate(overhead - tracked_bytes_);
-  tracked_bytes_ = overhead;
+  const int64_t bytes = TableBytes();
+  MemoryTracker::Global().Allocate(bytes - tracked_bytes_);
+  tracked_bytes_ = bytes;
   built_ = true;
   return Status::OK();
 }
 
+int64_t HashJoinOperator::TableBytes() const {
+  int64_t bytes = CapacityBytes(heads_) + CapacityBytes(next_) +
+                  CapacityBytes(build_hashes_);
+  for (const auto& col : build_norm_keys_) bytes += CapacityBytes(col);
+  return bytes;
+}
+
 void HashJoinOperator::ClearBuild() {
-  build_data_ = QueryResult();
-  build_key_rows_.clear();
-  hash_table_.clear();
-  build_locator_.clear();
-  MemoryTracker::Global().Free(tracked_bytes_);
-  tracked_bytes_ = 0;
+  // The table's arrays keep their capacity (and its tracked bytes) for the
+  // next morsel's rebuild.
+  build_columns_.clear();
+  build_rows_ = 0;
   built_ = false;
 }
 
@@ -113,7 +102,6 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
   INDBML_RETURN_NOT_OK(build_->Open(ctx));
   INDBML_RETURN_NOT_OK(probe_->Open(ctx));
   built_ = false;
-  probe_row_ = 0;
   probe_eof_ = false;
   probe_chunk_valid_ = false;
   return Status::OK();
@@ -121,7 +109,6 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
 
 Status HashJoinOperator::Rewind(ExecContext* ctx) {
   INDBML_RETURN_NOT_OK(probe_->Rewind(ctx));
-  probe_row_ = 0;
   probe_eof_ = false;
   probe_chunk_valid_ = false;
   if (build_->MorselDriven()) {
@@ -131,69 +118,69 @@ Status HashJoinOperator::Rewind(ExecContext* ctx) {
   return Status::OK();
 }
 
+Status HashJoinOperator::PrepareProbeChunk() {
+  INDBML_RETURN_NOT_OK(NormalizeAndHashKeys(probe_keys_, probe_chunk_, 0,
+                                            &probe_norm_keys_, &probe_hashes_));
+  probe_row_ = 0;
+  chain_row_ = -1;
+  probe_chunk_valid_ = true;
+  return Status::OK();
+}
+
+int64_t HashJoinOperator::CollectMatches(int64_t room) {
+  const size_t num_keys = probe_norm_keys_.size();
+  int64_t n = 0;
+  for (; probe_row_ < probe_chunk_.size; ++probe_row_) {
+    const size_t p = static_cast<size_t>(probe_row_);
+    const uint64_t h = probe_hashes_[p];
+    int32_t b = chain_row_ >= 0 ? chain_row_ : heads_[h >> bucket_shift_];
+    chain_row_ = -1;
+    for (; b >= 0; b = next_[static_cast<size_t>(b)]) {
+      const size_t bs = static_cast<size_t>(b);
+      if (build_hashes_[bs] != h) continue;
+      bool equal = true;
+      for (size_t k = 0; k < num_keys && equal; ++k) {
+        equal = build_norm_keys_[k][bs] == probe_norm_keys_[k][p];
+      }
+      if (!equal) continue;
+      if (n == room) {
+        chain_row_ = b;
+        return n;
+      }
+      probe_sel_[static_cast<size_t>(n)] = static_cast<int32_t>(probe_row_);
+      build_sel_[static_cast<size_t>(n)] = b;
+      ++n;
+    }
+  }
+  return n;
+}
+
 Status HashJoinOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
   *eof = false;
   if (!built_) INDBML_RETURN_NOT_OK(EnsureBuilt(ctx));
   const int64_t probe_width = static_cast<int64_t>(probe_->output_types().size());
-  for (;;) {
+  while (out->size < kDefaultVectorSize) {
     if (!probe_chunk_valid_) {
-      if (probe_eof_) {
-        *eof = true;
-        return Status::OK();
-      }
+      if (probe_eof_) break;
       probe_chunk_.Reset(probe_->output_types());
       INDBML_RETURN_NOT_OK(probe_->Next(ctx, &probe_chunk_, &probe_eof_));
-      probe_row_ = 0;
-      if (probe_chunk_.size == 0) {
-        if (probe_eof_) {
-          *eof = true;
-          return Status::OK();
-        }
-        continue;
-      }
-      probe_key_vecs_.clear();
-      for (const auto& k : probe_keys_) {
-        Vector v(k->type);
-        INDBML_RETURN_NOT_OK(EvaluateExpr(*k, probe_chunk_, &v));
-        v.Flatten();
-        probe_key_vecs_.push_back(std::move(v));
-      }
-      probe_chunk_valid_ = true;
+      if (probe_chunk_.size == 0) continue;
+      INDBML_RETURN_NOT_OK(PrepareProbeChunk());
     }
-
-    std::vector<uint64_t> parts(probe_keys_.size());
-    for (; probe_row_ < probe_chunk_.size; ++probe_row_) {
-      for (size_t k = 0; k < probe_key_vecs_.size(); ++k) {
-        parts[k] = NormalizeKey(probe_key_vecs_[k], probe_row_);
-      }
-      uint64_t h = HashKeyParts(parts.data(), parts.size());
-      auto [begin, end] = hash_table_.equal_range(h);
-      for (auto it = begin; it != end; ++it) {
-        const auto& build_parts = build_key_rows_[static_cast<size_t>(it->second)];
-        if (!std::equal(parts.begin(), parts.end(), build_parts.begin())) continue;
-        auto [bc, br] = build_locator_[static_cast<size_t>(it->second)];
-        // Emit probe columns then build columns.
-        for (int64_t c = 0; c < probe_width; ++c) {
-          out->column(c).Append(probe_chunk_.column(c).GetValue(probe_row_));
-        }
-        const DataChunk& bchunk = build_data_.chunks[static_cast<size_t>(bc)];
-        for (int64_t c = 0; c < bchunk.num_columns(); ++c) {
-          out->column(probe_width + c).Append(bchunk.column(c).GetValue(br));
-        }
-        ++out->size;
-      }
-      if (out->size >= kDefaultVectorSize) {
-        ++probe_row_;
-        return Status::OK();
-      }
+    const int64_t n = CollectMatches(kDefaultVectorSize - out->size);
+    for (int64_t c = 0; c < probe_width; ++c) {
+      GatherIndexed(probe_chunk_.column(c), probe_sel_.data(), n, &out->column(c),
+                    out->size);
     }
-    probe_chunk_valid_ = false;
-    if (probe_eof_) {
-      *eof = true;
-      return Status::OK();
+    for (size_t c = 0; c < build_columns_.size(); ++c) {
+      GatherIndexed(build_columns_[c], build_sel_.data(), n,
+                    &out->column(probe_width + static_cast<int64_t>(c)), out->size);
     }
-    if (out->size >= kDefaultVectorSize) return Status::OK();
+    out->size += n;
+    if (probe_row_ >= probe_chunk_.size) probe_chunk_valid_ = false;
   }
+  *eof = probe_eof_ && !probe_chunk_valid_;
+  return Status::OK();
 }
 
 void HashJoinOperator::Close(ExecContext* ctx) {
@@ -202,15 +189,18 @@ void HashJoinOperator::Close(ExecContext* ctx) {
 }
 
 int64_t HashJoinOperator::BuildBytes() const {
-  int64_t bytes = build_data_.MemoryBytes();
-  bytes += static_cast<int64_t>(hash_table_.size() *
-                                (sizeof(uint64_t) + sizeof(int64_t) + 16));
-  bytes += static_cast<int64_t>(build_key_rows_.size() * build_keys_.size() * 8);
+  int64_t bytes = TableBytes();
+  for (const Vector& col : build_columns_) {
+    bytes += col.size() * storage::DataTypeSize(col.type());
+  }
   return bytes;
 }
 
 CrossJoinOperator::CrossJoinOperator(OperatorPtr left, OperatorPtr right)
-    : left_(std::move(left)), right_(std::move(right)) {
+    : left_(std::move(left)),
+      right_(std::move(right)),
+      left_sel_(kDefaultVectorSize),
+      right_sel_(kDefaultVectorSize) {
   types_ = left_->output_types();
   names_ = left_->output_names();
   for (DataType t : right_->output_types()) types_.push_back(t);
@@ -221,38 +211,25 @@ Status CrossJoinOperator::Open(ExecContext* ctx) {
   INDBML_RETURN_NOT_OK(right_->Open(ctx));
   INDBML_RETURN_NOT_OK(left_->Open(ctx));
   right_materialized_ = false;
-  left_row_ = 0;
-  right_row_ = 0;
   left_eof_ = false;
   left_chunk_valid_ = false;
   return Status::OK();
 }
 
 Status CrossJoinOperator::EnsureMaterialized(ExecContext* ctx) {
-  right_data_ = QueryResult();
-  right_data_.names = right_->output_names();
-  right_data_.types = right_->output_types();
-  INDBML_RETURN_NOT_OK(DrainAppend(right_.get(), ctx, &right_data_));
-  right_locator_.clear();
-  right_locator_.reserve(static_cast<size_t>(right_data_.num_rows));
-  for (size_t c = 0; c < right_data_.chunks.size(); ++c) {
-    for (int64_t r = 0; r < right_data_.chunks[c].size; ++r) {
-      right_locator_.emplace_back(static_cast<int32_t>(c), static_cast<int32_t>(r));
-    }
-  }
+  INDBML_RETURN_NOT_OK(
+      DrainColumns(right_.get(), ctx, &right_columns_, &right_rows_));
   right_materialized_ = true;
   return Status::OK();
 }
 
 Status CrossJoinOperator::Rewind(ExecContext* ctx) {
   INDBML_RETURN_NOT_OK(left_->Rewind(ctx));
-  left_row_ = 0;
-  right_row_ = 0;
   left_eof_ = false;
   left_chunk_valid_ = false;
   if (right_->MorselDriven()) {
-    right_data_ = QueryResult();
-    right_locator_.clear();
+    right_columns_.clear();
+    right_rows_ = 0;
     right_materialized_ = false;
     INDBML_RETURN_NOT_OK(right_->Rewind(ctx));
   }
@@ -262,53 +239,49 @@ Status CrossJoinOperator::Rewind(ExecContext* ctx) {
 Status CrossJoinOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
   *eof = false;
   if (!right_materialized_) INDBML_RETURN_NOT_OK(EnsureMaterialized(ctx));
-  const int64_t left_width = static_cast<int64_t>(left_->output_types().size());
-  if (right_data_.num_rows == 0) {
+  if (right_rows_ == 0) {
     *eof = true;
     return Status::OK();
   }
-  for (;;) {
+  const int64_t left_width = static_cast<int64_t>(left_->output_types().size());
+  while (out->size < kDefaultVectorSize) {
     if (!left_chunk_valid_) {
-      if (left_eof_) {
-        *eof = true;
-        return Status::OK();
-      }
+      if (left_eof_) break;
       left_chunk_.Reset(left_->output_types());
       INDBML_RETURN_NOT_OK(left_->Next(ctx, &left_chunk_, &left_eof_));
+      if (left_chunk_.size == 0) continue;
       left_row_ = 0;
       right_row_ = 0;
-      if (left_chunk_.size == 0) {
-        if (left_eof_) {
-          *eof = true;
-          return Status::OK();
-        }
-        continue;
-      }
       left_chunk_valid_ = true;
     }
-    while (left_row_ < left_chunk_.size) {
-      while (right_row_ < right_data_.num_rows) {
-        auto [rc, rr] = right_locator_[static_cast<size_t>(right_row_)];
-        for (int64_t c = 0; c < left_width; ++c) {
-          out->column(c).Append(left_chunk_.column(c).GetValue(left_row_));
-        }
-        const DataChunk& rchunk = right_data_.chunks[static_cast<size_t>(rc)];
-        for (int64_t c = 0; c < rchunk.num_columns(); ++c) {
-          out->column(left_width + c).Append(rchunk.column(c).GetValue(rr));
-        }
-        ++out->size;
-        ++right_row_;
-        if (out->size >= kDefaultVectorSize) return Status::OK();
+    const int64_t room = kDefaultVectorSize - out->size;
+    int64_t n = 0;
+    while (n < room && left_row_ < left_chunk_.size) {
+      const int64_t take = std::min(room - n, right_rows_ - right_row_);
+      for (int64_t j = 0; j < take; ++j) {
+        left_sel_[static_cast<size_t>(n + j)] = static_cast<int32_t>(left_row_);
+        right_sel_[static_cast<size_t>(n + j)] = static_cast<int32_t>(right_row_ + j);
       }
-      right_row_ = 0;
-      ++left_row_;
+      n += take;
+      right_row_ += take;
+      if (right_row_ == right_rows_) {
+        right_row_ = 0;
+        ++left_row_;
+      }
     }
-    left_chunk_valid_ = false;
-    if (left_eof_) {
-      *eof = true;
-      return Status::OK();
+    for (int64_t c = 0; c < left_width; ++c) {
+      GatherIndexed(left_chunk_.column(c), left_sel_.data(), n, &out->column(c),
+                    out->size);
     }
+    for (size_t c = 0; c < right_columns_.size(); ++c) {
+      GatherIndexed(right_columns_[c], right_sel_.data(), n,
+                    &out->column(left_width + static_cast<int64_t>(c)), out->size);
+    }
+    out->size += n;
+    if (left_row_ >= left_chunk_.size) left_chunk_valid_ = false;
   }
+  *eof = left_eof_ && !left_chunk_valid_;
+  return Status::OK();
 }
 
 void CrossJoinOperator::Close(ExecContext* ctx) {

@@ -3,20 +3,37 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/operator.h"
 
 namespace indbml::exec {
 
+/// Evaluates `keys` over `chunk` into normalised key columns
+/// (`(*norm_keys)[k][row]`, see NormalizeKeys) and folds keys
+/// [hash_from, keys.size()) into per-row hashes (HashKeyColumn). The one key
+/// path of hash join and hash aggregation, so both agree on key equality.
+Status NormalizeAndHashKeys(const std::vector<ExprPtr>& keys, const DataChunk& chunk,
+                           size_t hash_from,
+                           std::vector<std::vector<uint64_t>>* norm_keys,
+                           std::vector<uint64_t>* hashes);
+
 /// \brief Inner hash join.
 ///
-/// The right child is the build side (materialised into a hash table during
-/// Open — the ModelJoin pattern joins a small model table on the build side
-/// against a streaming fact/intermediate probe side, paper Fig. 5). Output
-/// preserves probe-side order, which the optimizer uses to keep pipelines
-/// eligible for order-based aggregation (§4.4).
+/// The right child is the build side (drained into flat columns and a hash
+/// table on the first Next — the ModelJoin pattern joins a small model
+/// table on the build side against a streaming fact/intermediate probe
+/// side, paper Fig. 5). Output preserves probe-side order, and the matches
+/// of one probe row come in build order; the optimizer relies on the former
+/// to keep pipelines eligible for order-based aggregation (§4.4).
+///
+/// The table is a power-of-two array of bucket heads over per-build-row
+/// `next` links, keyed by NormalizeKeys words stored column-wise with one
+/// hash per build row. A probe chunk is normalised and hashed in one pass;
+/// matching (probe row, build row) index pairs are collected up to exactly
+/// kDefaultVectorSize output rows, and both sides are emitted through
+/// GatherIndexed. A cursor (probe row, chain position) resumes a probe row
+/// whose matches straddle the cut.
 ///
 /// Key expressions are evaluated against the respective child's chunks.
 /// Residual (non-equi) predicates are planned as a Filter above the join.
@@ -37,19 +54,24 @@ class HashJoinOperator final : public Operator {
     return probe_->MorselDriven() || build_->MorselDriven();
   }
 
-  /// Bytes held by the build-side hash table (memory experiments).
+  /// Bytes held by the build side: columns plus hash table (memory
+  /// experiments).
   int64_t BuildBytes() const;
 
  private:
-  /// Normalises one key vector row into a hashable 64-bit representation.
-  static uint64_t NormalizeKey(const Vector& v, int64_t row);
-
-  /// Materialises the (already open) build child into the hash table on the
+  /// Drains the (already open) build child into the hash table on the
   /// first Next after Open — lazily, so a morsel-driven probe side can be
   /// Rewound before any build work happens. Build state survives Rewinds
   /// unless the build side itself is morsel-driven.
   Status EnsureBuilt(ExecContext* ctx);
   void ClearBuild();
+  /// Normalises and hashes the keys of the freshly fetched probe chunk.
+  Status PrepareProbeChunk();
+  /// Collects up to `room` matching (probe row, build row) pairs from the
+  /// cursor on into probe_sel_/build_sel_ and advances the cursor.
+  int64_t CollectMatches(int64_t room);
+  /// Bytes of the hash table (heads, next, hashes, keys).
+  int64_t TableBytes() const;
 
   OperatorPtr probe_;
   OperatorPtr build_;
@@ -59,27 +81,35 @@ class HashJoinOperator final : public Operator {
   std::vector<DataType> types_;
   std::vector<std::string> names_;
 
-  /// Materialised build side (columnar) + hash table from composite key
-  /// hash to build row indexes.
-  QueryResult build_data_;
-  std::vector<std::vector<uint64_t>> build_key_rows_;  ///< [row][key]
-  std::unordered_multimap<uint64_t, int64_t> hash_table_;
-  /// (chunk,row) locator per global build row index.
-  std::vector<std::pair<int32_t, int32_t>> build_locator_;
-  /// Hash-table bytes reported to the MemoryTracker (freed on destruction).
+  // Build side: one flat column per build column, plus the table.
+  std::vector<Vector> build_columns_;
+  int64_t build_rows_ = 0;
+  std::vector<std::vector<uint64_t>> build_norm_keys_;  ///< [key][build row]
+  std::vector<uint64_t> build_hashes_;                  ///< [build row]
+  std::vector<int32_t> heads_;  ///< [bucket] first build row, -1 if empty
+  std::vector<int32_t> next_;   ///< [build row] next row of its chain, -1 at end
+  int bucket_shift_ = 63;       ///< bucket = hash >> bucket_shift_
+  /// Table bytes reported to the MemoryTracker (freed on destruction).
   int64_t tracked_bytes_ = 0;
   bool built_ = false;
 
   // Probe streaming state.
   DataChunk probe_chunk_;
-  std::vector<Vector> probe_key_vecs_;
+  std::vector<std::vector<uint64_t>> probe_norm_keys_;  ///< [key][probe row]
+  std::vector<uint64_t> probe_hashes_;
+  std::vector<int32_t> probe_sel_;  ///< gather indices of one output batch
+  std::vector<int32_t> build_sel_;
   int64_t probe_row_ = 0;
+  /// Build row at which probe_row_'s chain resumes; -1 = at its bucket head.
+  int32_t chain_row_ = -1;
   bool probe_eof_ = false;
   bool probe_chunk_valid_ = false;
 };
 
 /// \brief Cross join: materialises the right side and emits left x right in
 /// left-major order (order-preserving in the left input, paper §4.4).
+/// Each output batch gathers a repeated left row index against a run of
+/// right row indexes.
 class CrossJoinOperator final : public Operator {
  public:
   CrossJoinOperator(OperatorPtr left, OperatorPtr right);
@@ -105,19 +135,18 @@ class CrossJoinOperator final : public Operator {
   std::vector<DataType> types_;
   std::vector<std::string> names_;
 
-  QueryResult right_data_;
-  std::vector<std::pair<int32_t, int32_t>> right_locator_;
+  std::vector<Vector> right_columns_;
+  int64_t right_rows_ = 0;
   bool right_materialized_ = false;
 
   DataChunk left_chunk_;
+  std::vector<int32_t> left_sel_;  ///< gather indices of one output batch
+  std::vector<int32_t> right_sel_;
   int64_t left_row_ = 0;
   int64_t right_row_ = 0;
   bool left_eof_ = false;
   bool left_chunk_valid_ = false;
 };
-
-/// FNV-1a style mixing of multiple 64-bit key parts.
-uint64_t HashKeyParts(const uint64_t* parts, size_t count);
 
 }  // namespace indbml::exec
 

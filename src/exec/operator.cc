@@ -1,56 +1,11 @@
 #include "exec/operator.h"
 
+#include <limits>
+
 #include "common/config.h"
-#include "common/string_util.h"
+#include "exec/gather.h"
 
 namespace indbml::exec {
-
-Value QueryResult::GetValue(int64_t row, int64_t col) const {
-  for (const DataChunk& chunk : chunks) {
-    if (row < chunk.size) return chunk.column(col).GetValue(row);
-    row -= chunk.size;
-  }
-  INDBML_LOG(Fatal) << "row out of range";
-  return Value();
-}
-
-Result<int> QueryResult::ColumnIndex(const std::string& name) const {
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (EqualsIgnoreCase(names[i], name)) return static_cast<int>(i);
-  }
-  return Status::NotFound("result column '" + name + "' not found");
-}
-
-storage::TablePtr QueryResult::ToTable(const std::string& table_name) const {
-  std::vector<storage::Field> fields;
-  for (size_t i = 0; i < names.size(); ++i) {
-    fields.push_back({names[i], types[i]});
-  }
-  auto table = std::make_shared<storage::Table>(table_name, fields);
-  table->Reserve(num_rows);
-  for (const DataChunk& chunk : chunks) {
-    for (int64_t r = 0; r < chunk.size; ++r) {
-      std::vector<Value> row;
-      row.reserve(static_cast<size_t>(chunk.num_columns()));
-      for (int64_t c = 0; c < chunk.num_columns(); ++c) {
-        row.push_back(chunk.column(c).GetValue(r));
-      }
-      INDBML_CHECK(table->AppendRow(row).ok());
-    }
-  }
-  table->Finalize();
-  return table;
-}
-
-int64_t QueryResult::MemoryBytes() const {
-  int64_t total = 0;
-  for (const DataChunk& chunk : chunks) {
-    for (const Vector& v : chunk.columns) {
-      total += v.size() * DataTypeSize(v.type());
-    }
-  }
-  return total;
-}
 
 Status Operator::Rewind(ExecContext*) {
   return Status::NotImplemented(
@@ -81,11 +36,35 @@ Result<QueryResult> DrainOperator(Operator* root, ExecContext* ctx) {
   return result;
 }
 
-void AppendRowTo(const DataChunk& src, int64_t row, DataChunk* dst) {
-  for (int64_t c = 0; c < src.num_columns(); ++c) {
-    dst->column(c).Append(src.column(c).GetValue(row));
+Status DrainColumns(Operator* root, ExecContext* ctx, std::vector<Vector>* columns,
+                    int64_t* rows) {
+  const std::vector<DataType>& types = root->output_types();
+  columns->clear();
+  for (DataType t : types) columns->emplace_back(t);
+  *rows = 0;
+  DataChunk chunk;
+  bool eof = false;
+  while (!eof) {
+    chunk.Reset(types);
+    INDBML_RETURN_NOT_OK(root->Next(ctx, &chunk, &eof));
+    for (size_t c = 0; c < columns->size(); ++c) {
+      GatherIndexed(chunk.column(static_cast<int64_t>(c)), nullptr, chunk.size,
+                    &(*columns)[c], *rows);
+    }
+    *rows += chunk.size;
+    if (*rows > std::numeric_limits<int32_t>::max()) {
+      return Status::NotImplemented(
+          "materialised input exceeds 2^31 - 1 rows (int32 gather indices)");
+    }
   }
-  ++dst->size;
+  return Status::OK();
+}
+
+DataChunk ColumnsChunk(const std::vector<Vector>& columns, int64_t rows) {
+  DataChunk chunk;
+  chunk.columns = columns;
+  chunk.size = rows;
+  return chunk;
 }
 
 }  // namespace indbml::exec

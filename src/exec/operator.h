@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "exec/expression.h"
+#include "exec/query_result.h"
 #include "exec/vector.h"
 #include "storage/table.h"
 
@@ -77,37 +78,25 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// \brief Fully materialised query output.
-struct QueryResult {
-  std::vector<std::string> names;
-  std::vector<DataType> types;
-  std::vector<DataChunk> chunks;
-  int64_t num_rows = 0;
-
-  /// Row/column random access (test convenience; O(#chunks)).
-  Value GetValue(int64_t row, int64_t col) const;
-
-  /// Index of the result column with this (case-insensitive) name.
-  Result<int> ColumnIndex(const std::string& name) const;
-
-  /// Copies the result into a catalog table.
-  storage::TablePtr ToTable(const std::string& table_name) const;
-
-  /// Total bytes across all chunks (intermediate-result accounting).
-  int64_t MemoryBytes() const;
-};
-
 /// Runs an operator tree to completion and materialises all chunks.
 Result<QueryResult> DrainOperator(Operator* root, ExecContext* ctx);
 
 /// Drains an *already open* operator into `result` (appends chunks; does
-/// not Open or Close). Used by the pipeline executor per morsel and by
-/// operators that lazily materialise a child they keep open across
-/// Rewinds (sort, hash-join build, cross-join right side).
+/// not Open or Close). Used by the pipeline executor per morsel.
 Status DrainAppend(Operator* root, ExecContext* ctx, QueryResult* result);
 
-/// Copies row `row` of `src` onto the end of `dst` (all columns).
-void AppendRowTo(const DataChunk& src, int64_t row, DataChunk* dst);
+/// Drains an *already open* operator into one flat owned column per output
+/// column (`*columns` is reset to the operator's output types) and sets
+/// `*rows` to the row count. The materialising step of the operators that
+/// keep a whole child (hash-join build, cross-join right side, sort): they
+/// then address any row by an int32 index and emit through GatherIndexed,
+/// so more than 2^31 - 1 rows fail with NotImplemented.
+Status DrainColumns(Operator* root, ExecContext* ctx, std::vector<Vector>* columns,
+                    int64_t* rows);
+
+/// A chunk viewing `columns` (no copy), `rows` rows long, for evaluating
+/// expressions over DrainColumns output.
+DataChunk ColumnsChunk(const std::vector<Vector>& columns, int64_t rows);
 
 }  // namespace indbml::exec
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/config.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 
@@ -52,6 +53,10 @@ Status ValidateChunk(const DataChunk& chunk, const std::vector<DataType>& types,
   if (chunk.size < 0) {
     return fail(StrFormat("negative cardinality %lld",
                           static_cast<long long>(chunk.size)));
+  }
+  if (chunk.size > kDefaultVectorSize) {
+    return fail(StrFormat("cardinality %lld exceeds the vector size %d",
+                          static_cast<long long>(chunk.size), kDefaultVectorSize));
   }
   for (int64_t c = 0; c < chunk.num_columns(); ++c) {
     const Vector& v = chunk.column(c);

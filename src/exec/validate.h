@@ -26,7 +26,8 @@ struct ChunkValidationOptions {
 };
 
 /// Checks one inter-operator chunk: column count and types match `types`,
-/// every column's length equals `chunk.size`, each column's selection
+/// the cardinality is at most kDefaultVectorSize (consumers size per-chunk
+/// buffers by it), every column's length equals `chunk.size`, each column's selection
 /// vector (if any) stays inside its base window, and float columns are
 /// finite unless `allow_non_finite`. `where` names the producing operator
 /// for the error message.

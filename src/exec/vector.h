@@ -50,14 +50,14 @@ using SelectionPtr = std::shared_ptr<const SelectionVector>;
 ///    filters emit these instead of copying survivors.
 ///
 /// Copying a Vector never copies data: the copy shares the Buffer and
-/// becomes a view. Every mutating entry point (Resize growth, SetValue,
-/// Append, the non-const data accessors) goes through EnsureWritable(),
-/// which materialises a private flat buffer only when the current one is
-/// shared or selected (copy-on-write). Operators that need contiguous rows
-/// for pointer arithmetic call Flatten() explicitly; selection-agnostic
-/// random access goes through GetValue()/Get*At(). Buffer-level
-/// MemoryTracker accounting means a thousand views over one column cost one
-/// column.
+/// becomes a view. Every mutating entry point (Resize growth,
+/// ResizeForOverwrite, SetValue, Append, the non-const data accessors) goes
+/// through EnsureWritable(), which materialises a private flat buffer only
+/// when the current one is shared or selected (copy-on-write). Operators
+/// that need contiguous rows for pointer arithmetic call Flatten()
+/// explicitly; selection-agnostic random access goes through
+/// GetValue()/Get*At(). Buffer-level MemoryTracker accounting means a
+/// thousand views over one column cost one column.
 class Vector {
  public:
   Vector() : type_(DataType::kInt64) {}
@@ -148,6 +148,22 @@ class Vector {
     uint8_t* base = buffer_->data();
     const int64_t elem = ElemSize();
     std::fill(base + size_ * elem, base + n * elem, uint8_t{0});
+    size_ = n;
+    base_rows_ = n;
+  }
+
+  /// Makes this a flat owned vector of `n` rows that keeps its first `keep`
+  /// logical rows (keep <= min(size(), n)) and leaves rows [keep, n)
+  /// uninitialised for the caller to overwrite. Growth is geometric, so
+  /// appending batch after batch stays amortised O(1) (gather kernels).
+  void ResizeForOverwrite(int64_t n, int64_t keep = 0) {
+    INDBML_DCHECK(keep <= size_ && keep <= n);
+    if (keep == 0) {
+      Clear();
+    } else {
+      Resize(keep);
+    }
+    EnsureWritable(n);
     size_ = n;
     base_rows_ = n;
   }

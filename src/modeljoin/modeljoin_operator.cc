@@ -58,6 +58,14 @@ Status ModelJoinOperator::Next(exec::ExecContext* ctx, exec::DataChunk* out,
     return Status::OK();
   }
   const nn::ModelMeta& meta = model_->meta();
+  // Operators emit at most kDefaultVectorSize rows per chunk (ValidateChunk
+  // enforces it), but a larger chunk grows the staging instead of overrunning
+  // it; the inference runtime blocks it at the model's vector size.
+  const size_t input_floats =
+      static_cast<size_t>(std::max<int64_t>(1, meta.input_width()) * n);
+  if (input_staging_.size() < input_floats) input_staging_.resize(input_floats);
+  const size_t output_floats = static_cast<size_t>(meta.output_dim() * n);
+  if (output_staging_.size() < output_floats) output_staging_.resize(output_floats);
 
   // Input conversion (§5.3): one contiguous copy per input column into the
   // feature-major staging matrix.

@@ -4,6 +4,7 @@
 
 #include "benchlib/approaches.h"
 #include "benchlib/workloads.h"
+#include "common/validation.h"
 #include "mltosql/encoding.h"
 #include "mltosql/mltosql.h"
 #include "modeljoin/register.h"
@@ -126,6 +127,49 @@ TEST_F(EndToEndTest, ModelJoinInsideComplexQuery) {
     EXPECT_LE(result.GetValue(r, 3).AsDouble(), result.GetValue(r, 2).AsDouble());
   }
   EXPECT_EQ(total, 900);
+}
+
+TEST_F(EndToEndTest, JoinFanOutFeedsModelJoinInVectorSizedChunks) {
+  // Every iris row matches the 7 dup rows of its class, so a join that
+  // finished a probe row's matches past the 1024-row cut would hand the
+  // ModelJoin an oversized chunk (and overran its staging buffer).
+  validation::SetEnabledForTesting(1);
+  sql::QueryEngine engine;
+  modeljoin::RegisterNativeModelJoin(&engine);
+  auto iris = benchlib::MakeIrisTable("iris", 3000);
+  ASSERT_OK(engine.catalog()->CreateTable(iris));
+  std::vector<std::vector<storage::Value>> dup_rows;
+  for (int64_t r = 0; r < 21; ++r) {
+    dup_rows.push_back({testutil::I(r % 3), testutil::F(static_cast<float>(r))});
+  }
+  ASSERT_OK(engine.catalog()->CreateTable(testutil::MakeTable(
+      "dup", {{"k", storage::DataType::kInt64}, {"w", storage::DataType::kFloat}},
+      dup_rows)));
+  ASSERT_OK_AND_ASSIGN(nn::Model model, nn::MakeDenseBenchmarkModel(8, 2, 21));
+  mltosql::MlToSql framework(&model, "m");
+  ASSERT_OK(framework.Deploy(&engine));
+  engine.models()->Register(nn::MetaOf(model, "m"));
+
+  auto result = engine.ExecuteQuery(
+      "SELECT id, w, prediction FROM (SELECT id, w, sepal_length, sepal_width, "
+      "petal_length, petal_width FROM iris, dup WHERE class = k) AS j "
+      "MODEL JOIN m USING MODEL 'm' "
+      "PREDICT (sepal_length, sepal_width, petal_length, petal_width)");
+  validation::SetEnabledForTesting(-1);
+  ASSERT_OK(result.status());
+  ASSERT_EQ(result->num_rows, 21000);
+
+  nn::Tensor x = nn::Tensor::Matrix(3000, 4);
+  for (int64_t r = 0; r < 3000; ++r) {
+    for (int c = 0; c < 4; ++c) x.At(r, c) = iris->column(c + 1).GetFloat(r);
+  }
+  ASSERT_OK_AND_ASSIGN(auto expected, model.Predict(x));
+  ASSERT_OK_AND_ASSIGN(int id_col, result->ColumnIndex("id"));
+  ASSERT_OK_AND_ASSIGN(int pred_col, result->ColumnIndex("prediction"));
+  for (int64_t r = 0; r < result->num_rows; ++r) {
+    const int64_t id = result->GetValue(r, id_col).i;
+    ASSERT_NEAR(result->GetValue(r, pred_col).f, expected[id], 1e-4) << "row " << r;
+  }
 }
 
 TEST_F(EndToEndTest, TwoModelsInOneEngine) {

@@ -191,6 +191,43 @@ TEST_F(SqlEngineTest, GroupByIdUsesStreamingAggregate) {
   EXPECT_NE(rendered.find("streaming"), std::string::npos) << rendered;
 }
 
+TEST_F(SqlEngineTest, GroupByFloatKeyFoldsSignedZero) {
+  // 0.0 and -0.0 are equal, so they form one group, as they match in a
+  // join. Hash path (unordered input) first.
+  ASSERT_OK(engine_->catalog()->CreateTable(
+      MakeTable("zeros", {{"x", storage::DataType::kFloat}}, {{F(0.0f)}, {F(-0.0f)}})));
+  auto r = Run("SELECT x, COUNT(*) AS c FROM zeros GROUP BY x");
+  ASSERT_EQ(r.num_rows, 1);
+  EXPECT_EQ(Cell(r, 0, 0), 0.0);
+  EXPECT_EQ(Cell(r, 0, 1), 2);
+}
+
+TEST_F(SqlEngineTest, StreamingGroupByFloatKeyFoldsSignedZero) {
+  // The same through the streaming aggregate, with the float column once as
+  // the sorted prefix key and once as a rest key hashed within the prefix.
+  const std::vector<std::vector<storage::Value>> rows = {
+      {F(-0.0f), I(1)}, {F(0.0f), I(1)}, {F(-0.0f), I(1)}, {F(2.0f), I(1)}};
+  auto by_x = MakeTable(
+      "by_x", {{"x", storage::DataType::kFloat}, {"g", storage::DataType::kInt64}}, rows);
+  by_x->SetSortedBy({"x"});
+  ASSERT_OK(engine_->catalog()->CreateTable(by_x));
+  auto by_g = MakeTable(
+      "by_g", {{"x", storage::DataType::kFloat}, {"g", storage::DataType::kInt64}}, rows);
+  by_g->SetSortedBy({"g"});
+  ASSERT_OK(engine_->catalog()->CreateTable(by_g));
+  for (const char* sql : {"SELECT x, COUNT(*) AS c FROM by_x GROUP BY x",
+                          "SELECT x, COUNT(*) AS c FROM by_g GROUP BY g, x"}) {
+    ASSERT_OK_AND_ASSIGN(auto plan, engine_->PlanQuery(sql));
+    EXPECT_NE(plan->ToString().find("streaming"), std::string::npos) << plan->ToString();
+    auto r = Run(sql);
+    ASSERT_EQ(r.num_rows, 2) << sql;
+    EXPECT_EQ(Cell(r, 0, 0), 0.0) << sql;
+    EXPECT_EQ(Cell(r, 0, 1), 3) << sql;
+    EXPECT_EQ(Cell(r, 1, 0), 2.0) << sql;
+    EXPECT_EQ(Cell(r, 1, 1), 1) << sql;
+  }
+}
+
 TEST_F(SqlEngineTest, ErrorUnknownTable) {
   auto result = engine_->ExecuteQuery("SELECT * FROM nope");
   EXPECT_FALSE(result.ok());

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <string>
 
+#include "common/config.h"
 #include "common/memory_tracker.h"
 #include "common/random.h"
 #include "exec/aggregate.h"
@@ -363,6 +366,454 @@ TEST(AggregateTest, MinMaxAvgOverNegative) {
   EXPECT_FLOAT_EQ(static_cast<float>(result.GetValue(0, 1).AsDouble()), -5.0f);
   EXPECT_FLOAT_EQ(static_cast<float>(result.GetValue(0, 2).AsDouble()), 3.0f);
   EXPECT_NEAR(result.GetValue(0, 3).AsDouble(), -1.0, 1e-6);
+}
+
+// ---------- typed join / aggregation kernels vs naive references ----------
+
+using Row = std::vector<Value>;
+
+/// Bitwise value identity (so 0.0 and -0.0 differ here).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type != b.type) return false;
+  switch (a.type) {
+    case DataType::kBool:
+      return a.b == b.b;
+    case DataType::kInt64:
+      return a.i == b.i;
+    case DataType::kFloat:
+      return std::memcmp(&a.f, &b.f, sizeof(float)) == 0;
+  }
+  return false;
+}
+
+bool SameRow(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameValue(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+std::string RowString(const Row& row) {
+  std::string out;
+  for (const Value& v : row) out += v.ToString() + " ";
+  return out;
+}
+
+/// Drains an open operator, asserting every chunk honours the vector size.
+std::vector<Row> DrainRows(exec::Operator* op, ExecContext* ctx) {
+  std::vector<Row> rows;
+  bool eof = false;
+  while (!eof) {
+    DataChunk chunk;
+    chunk.Reset(op->output_types());
+    const Status st = op->Next(ctx, &chunk, &eof);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (!st.ok()) break;
+    EXPECT_LE(chunk.size, kDefaultVectorSize);
+    for (int64_t r = 0; r < chunk.size; ++r) {
+      Row row;
+      for (int64_t c = 0; c < chunk.num_columns(); ++c) {
+        row.push_back(chunk.column(c).GetValue(r));
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+std::vector<Row> RunRows(exec::Operator* op) {
+  ExecContext ctx;
+  EXPECT_OK(op->Open(&ctx));
+  std::vector<Row> rows = DrainRows(op, &ctx);
+  op->Close(&ctx);
+  return rows;
+}
+
+std::vector<Row> TableRows(const storage::Table& t, int64_t begin, int64_t end) {
+  std::vector<Row> rows;
+  for (int64_t r = begin; r < end; ++r) {
+    Row row;
+    for (int c = 0; c < t.num_columns(); ++c) row.push_back(t.column(c).GetValue(r));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Nested-loop inner join on (a BIGINT, b FLOAT) = columns 0 and 1 of both
+/// sides: probe order, then build order within a probe row.
+std::vector<Row> NestedLoopJoin(const std::vector<Row>& probe,
+                                const std::vector<Row>& build) {
+  std::vector<Row> out;
+  for (const Row& p : probe) {
+    for (const Row& b : build) {
+      if (p[0].i != b[0].i || p[1].f != b[1].f) continue;  // -0.0 == 0.0
+      Row row = p;
+      row.insert(row.end(), b.begin(), b.end());
+      out.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+void ExpectSameRows(const std::vector<Row>& actual, const std::vector<Row>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_TRUE(SameRow(actual[i], expected[i]))
+        << "row " << i << ": " << RowString(actual[i]) << "vs "
+        << RowString(expected[i]);
+  }
+}
+
+/// (a BIGINT, b FLOAT, tag BIGINT) with a in [0, 4) and b drawn from a few
+/// values including both zeros; tag = `tag_base` + row number.
+storage::TablePtr MakeKeyTable(const std::string& name, int64_t rows, uint64_t seed,
+                               int64_t tag_base) {
+  const float floats[] = {0.0f, -0.0f, 1.5f, -2.25f};
+  Random rng(seed);
+  auto t = std::make_shared<storage::Table>(
+      name, std::vector<storage::Field>{
+                {"a", DataType::kInt64}, {"b", DataType::kFloat}, {"tag", DataType::kInt64}});
+  for (int64_t r = 0; r < rows; ++r) {
+    INDBML_CHECK(t->AppendRow({I(static_cast<int64_t>(rng.NextUint64(4))),
+                               F(floats[rng.NextUint64(4)]), I(tag_base + r)})
+                     .ok());
+  }
+  t->Finalize();
+  return t;
+}
+
+std::vector<exec::ExprPtr> TwoColumnKeys() {
+  std::vector<exec::ExprPtr> keys;
+  keys.push_back(exec::MakeColumnRef(0, DataType::kInt64));
+  keys.push_back(exec::MakeColumnRef(1, DataType::kFloat));
+  return keys;
+}
+
+TEST(HashJoinTest, TwoColumnKeysMatchNestedLoopInOrder) {
+  // 600 random build rows over 12 distinct keys (0.0 and -0.0 are one), so
+  // every probe row matches ~50 of them and many straddle a 1024-row cut.
+  // Between them sit 1 100 rows of key (3, -0.0): one probe row with that
+  // key (or (3, 0.0)) alone has more matches than fit in one chunk.
+  auto probe = MakeKeyTable("probe", 700, 7, 0);
+  auto build = std::make_shared<storage::Table>(
+      "build", std::vector<storage::Field>{
+                   {"a", DataType::kInt64}, {"b", DataType::kFloat}, {"tag", DataType::kInt64}});
+  Random rng(11);
+  const float floats[] = {0.0f, -0.0f, 1.5f, -2.25f};
+  for (int64_t r = 0; r < 1700; ++r) {
+    const bool heavy = r >= 300 && r < 1400;
+    INDBML_CHECK(build
+                     ->AppendRow({I(heavy ? 3 : static_cast<int64_t>(rng.NextUint64(4))),
+                                  F(heavy ? -0.0f : floats[rng.NextUint64(4)]),
+                                  I(10000 + r)})
+                     .ok());
+  }
+  build->Finalize();
+  exec::HashJoinOperator join(ScanAll(probe), ScanAll(build), TwoColumnKeys(),
+                              TwoColumnKeys());
+  const std::vector<Row> actual = RunRows(&join);
+  const std::vector<Row> expected = NestedLoopJoin(
+      TableRows(*probe, 0, probe->num_rows()), TableRows(*build, 0, build->num_rows()));
+  EXPECT_GT(expected.size(), 100000u);
+  ExpectSameRows(actual, expected);
+}
+
+TEST(HashJoinTest, SelectedProbeAndEmptySides) {
+  auto probe = MakeKeyTable("probe", 2000, 3, 0);
+  auto build = MakeKeyTable("build", 50, 5, 10000);
+  // Keep probe rows whose tag is not a multiple of 3: a selection vector.
+  auto filtered = [&](int64_t keep_mod) {
+    return std::make_unique<exec::FilterOperator>(
+        ScanAll(probe),
+        exec::MakeBinary(exec::BinaryOp::kNe,
+                         exec::MakeBinary(exec::BinaryOp::kMod,
+                                          exec::MakeColumnRef(2, DataType::kInt64),
+                                          exec::MakeConstant(I(keep_mod))),
+                         exec::MakeConstant(I(0))));
+  };
+  std::vector<Row> kept;
+  for (const Row& row : TableRows(*probe, 0, probe->num_rows())) {
+    if (row[2].i % 3 != 0) kept.push_back(row);
+  }
+  {
+    exec::HashJoinOperator join(filtered(3), ScanAll(build), TwoColumnKeys(),
+                                TwoColumnKeys());
+    ExpectSameRows(RunRows(&join),
+                   NestedLoopJoin(kept, TableRows(*build, 0, build->num_rows())));
+  }
+  {
+    // x % 1 != 0 keeps nothing: an empty probe side.
+    exec::HashJoinOperator join(filtered(1), ScanAll(build), TwoColumnKeys(),
+                                TwoColumnKeys());
+    EXPECT_TRUE(RunRows(&join).empty());
+  }
+  {
+    auto empty = MakeKeyTable("empty", 0, 1, 0);
+    exec::HashJoinOperator join(filtered(3), ScanAll(empty), TwoColumnKeys(),
+                                TwoColumnKeys());
+    EXPECT_TRUE(RunRows(&join).empty());
+  }
+}
+
+TEST(HashJoinTest, MorselDrivenBuildSideIsRebuiltPerRewind) {
+  auto probe = MakeKeyTable("probe", 900, 21, 0);
+  auto build = MakeKeyTable("build", 300, 23, 10000);
+  std::vector<int> cols = {0, 1, 2};
+  exec::HashJoinOperator join(
+      ScanAll(probe),
+      std::make_unique<exec::TableScanOperator>(exec::TableScanOperator::MorselBound{},
+                                                build, cols,
+                                                std::vector<exec::ScanPredicate>{}),
+      TwoColumnKeys(), TwoColumnKeys());
+  ASSERT_TRUE(join.MorselDriven());
+  ExecContext ctx;
+  ASSERT_OK(join.Open(&ctx));
+  const std::vector<Row> probe_rows = TableRows(*probe, 0, probe->num_rows());
+  for (auto [begin, end] : {std::pair<int64_t, int64_t>{0, 120}, {120, 300}, {40, 41}}) {
+    ctx.morsel_begin = begin;
+    ctx.morsel_end = end;
+    ASSERT_OK(join.Rewind(&ctx));
+    ExpectSameRows(DrainRows(&join, &ctx),
+                   NestedLoopJoin(probe_rows, TableRows(*build, begin, end)));
+  }
+  join.Close(&ctx);
+}
+
+TEST(CrossJoinTest, MatchesNestedLoopAcrossChunkCuts) {
+  auto left = MakeKeyTable("left", 1500, 31, 0);
+  auto right = MakeKeyTable("right", 3, 37, 10000);
+  exec::CrossJoinOperator join(ScanAll(left), ScanAll(right));
+  std::vector<Row> expected;
+  for (const Row& l : TableRows(*left, 0, left->num_rows())) {
+    for (const Row& r : TableRows(*right, 0, right->num_rows())) {
+      Row row = l;
+      row.insert(row.end(), r.begin(), r.end());
+      expected.push_back(std::move(row));
+    }
+  }
+  ExpectSameRows(RunRows(&join), expected);
+}
+
+TEST(AggregateTest, BigintAggregatesAreExact) {
+  // SUM/MIN/MAX over BIGINT must not round through double: 2^53 + 1 is the
+  // first integer a double cannot hold.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  auto t = MakeTable("t", {{"g", DataType::kInt64}, {"x", DataType::kInt64}},
+                     {{I(0), I(big)}, {I(0), I(0)}, {I(1), I(big)}, {I(1), I(big + 2)}});
+  auto make_aggs = [] {
+    std::vector<exec::AggregateSpec> aggs;
+    for (auto fn : {exec::AggFunction::kSum, exec::AggFunction::kMin,
+                    exec::AggFunction::kMax}) {
+      exec::AggregateSpec spec;
+      spec.function = fn;
+      spec.argument = exec::MakeColumnRef(1, DataType::kInt64);
+      spec.result_type = DataType::kInt64;
+      spec.name = exec::AggFunctionName(fn);
+      aggs.push_back(std::move(spec));
+    }
+    return aggs;
+  };
+  auto make_groups = [] {
+    std::vector<exec::ExprPtr> groups;
+    groups.push_back(exec::MakeColumnRef(0, DataType::kInt64));
+    return groups;
+  };
+  exec::HashAggregateOperator hash_agg(ScanAll(t), make_groups(), {"g"}, make_aggs());
+  exec::StreamingAggregateOperator stream_agg(ScanAll(t), make_groups(), {"g"},
+                                              make_aggs(), 1);
+  for (exec::Operator* agg : std::vector<exec::Operator*>{&hash_agg, &stream_agg}) {
+    const std::vector<Row> rows = RunRows(agg);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0][1].i, big);  // SUM {2^53 + 1, 0}
+    EXPECT_EQ(rows[0][2].i, 0);
+    EXPECT_EQ(rows[0][3].i, big);
+    EXPECT_EQ(rows[1][2].i, big);  // MIN/MAX {2^53 + 1, 2^53 + 3}
+    EXPECT_EQ(rows[1][3].i, big + 2);
+  }
+}
+
+/// Normalised group key as the aggregates see it: -0.0 folds into 0.0.
+uint64_t KeyBits(const Value& v) {
+  switch (v.type) {
+    case DataType::kBool:
+      return v.b ? 1 : 0;
+    case DataType::kInt64:
+      return static_cast<uint64_t>(v.i);
+    case DataType::kFloat: {
+      const float f = v.f == 0.0f ? 0.0f : v.f;
+      uint32_t bits;
+      std::memcpy(&bits, &f, sizeof(bits));
+      return bits;
+    }
+  }
+  return 0;
+}
+
+TEST(AggregateTest, EveryFunctionAndTypeMatchesReference) {
+  // (g BIGINT sorted, h FLOAT, k BOOL, xi BIGINT, xf FLOAT, xb BOOL). Each of
+  // the 3 g values holds up to ~2 000 (h, k) groups, so both the hash
+  // aggregate's emission and the streaming flush of one prefix cross the
+  // 1024-row cut.
+  Random rng(99);
+  storage::Table t("t", {{"g", DataType::kInt64},
+                         {"h", DataType::kFloat},
+                         {"k", DataType::kBool},
+                         {"xi", DataType::kInt64},
+                         {"xf", DataType::kFloat},
+                         {"xb", DataType::kBool}});
+  for (int64_t r = 0; r < 12000; ++r) {
+    float h = static_cast<float>(rng.NextUint64(1000)) * 0.5f;
+    if (h == 0.0f && rng.NextUint64(2) == 0) h = -0.0f;
+    const int64_t xi = static_cast<int64_t>(rng.NextUint64()) >> 1;  // wraps in SUM
+    INDBML_CHECK(t.AppendRow({I(r / 4000), F(h), testutil::B(rng.NextUint64(2) == 1),
+                              I(xi), F(rng.NextFloat(-10, 10)),
+                              testutil::B(rng.NextUint64(3) == 0)})
+                     .ok());
+  }
+  t.Finalize();
+  auto table = std::make_shared<storage::Table>(std::move(t));
+
+  struct AggCol {
+    exec::AggFunction fn;
+    int arg;  ///< -1: COUNT(*)
+  };
+  std::vector<AggCol> cols = {{exec::AggFunction::kCount, -1}};
+  for (auto fn : {exec::AggFunction::kSum, exec::AggFunction::kCount,
+                  exec::AggFunction::kMin, exec::AggFunction::kMax,
+                  exec::AggFunction::kAvg}) {
+    for (int arg : {3, 4, 5}) cols.push_back({fn, arg});
+  }
+  auto arg_type = [&](int arg) { return table->fields()[static_cast<size_t>(arg)].type; };
+  auto result_type = [&](const AggCol& c) {
+    if (c.arg < 0 || c.fn == exec::AggFunction::kCount) return DataType::kInt64;
+    if (c.fn == exec::AggFunction::kAvg) return DataType::kFloat;
+    return arg_type(c.arg);
+  };
+  auto make_aggs = [&] {
+    std::vector<exec::AggregateSpec> aggs;
+    for (const AggCol& c : cols) {
+      exec::AggregateSpec spec;
+      spec.function = c.fn;
+      spec.argument = c.arg < 0 ? nullptr : exec::MakeColumnRef(c.arg, arg_type(c.arg));
+      spec.result_type = result_type(c);
+      spec.name = "a";
+      aggs.push_back(std::move(spec));
+    }
+    return aggs;
+  };
+  auto make_groups = [] {
+    std::vector<exec::ExprPtr> groups;
+    groups.push_back(exec::MakeColumnRef(0, DataType::kInt64));
+    groups.push_back(exec::MakeColumnRef(1, DataType::kFloat));
+    groups.push_back(exec::MakeColumnRef(2, DataType::kBool));
+    return groups;
+  };
+
+  // Reference: std::map over normalised keys, rows folded in input order
+  // (BIGINT SUM/MIN/MAX exact, everything else in double).
+  struct RefState {
+    int64_t count = 0;
+    uint64_t isum = 0;
+    int64_t imin = 0, imax = 0;
+    double dsum = 0, dmin = 0, dmax = 0;
+  };
+  std::map<std::vector<uint64_t>, std::pair<Row, std::vector<RefState>>> ref;
+  for (const Row& row : TableRows(*table, 0, table->num_rows())) {
+    auto& [keys, states] =
+        ref[{KeyBits(row[0]), KeyBits(row[1]), KeyBits(row[2])}];
+    if (states.empty()) {
+      Value h = row[1];
+      if (h.f == 0.0f) h.f = 0.0f;
+      keys = {row[0], h, row[2]};
+      states.resize(cols.size());
+    }
+    for (size_t a = 0; a < cols.size(); ++a) {
+      RefState& s = states[a];
+      if (cols[a].arg >= 0) {
+        const Value& v = row[static_cast<size_t>(cols[a].arg)];
+        const double d = v.AsDouble();
+        if (v.type == DataType::kInt64) {
+          s.isum += static_cast<uint64_t>(v.i);
+          if (s.count == 0 || v.i < s.imin) s.imin = v.i;
+          if (s.count == 0 || v.i > s.imax) s.imax = v.i;
+        }
+        s.dsum += d;
+        if (s.count == 0 || d < s.dmin) s.dmin = d;
+        if (s.count == 0 || d > s.dmax) s.dmax = d;
+      }
+      ++s.count;
+    }
+  }
+  std::vector<Row> expected;
+  for (auto& [bits, entry] : ref) {
+    Row row = entry.first;
+    for (size_t a = 0; a < cols.size(); ++a) {
+      const RefState& s = entry.second[a];
+      const AggCol& c = cols[a];
+      const bool exact = c.arg >= 0 && arg_type(c.arg) == DataType::kInt64;
+      if (c.arg < 0 || c.fn == exec::AggFunction::kCount) {
+        row.push_back(I(s.count));
+        continue;
+      }
+      double d = 0;
+      int64_t i = 0;
+      switch (c.fn) {
+        case exec::AggFunction::kSum:
+          d = s.dsum;
+          i = static_cast<int64_t>(s.isum);
+          break;
+        case exec::AggFunction::kMin:
+          d = s.dmin;
+          i = s.imin;
+          break;
+        case exec::AggFunction::kMax:
+          d = s.dmax;
+          i = s.imax;
+          break;
+        default:  // AVG
+          row.push_back(F(static_cast<float>(s.dsum / static_cast<double>(s.count))));
+          continue;
+      }
+      switch (result_type(c)) {
+        case DataType::kInt64:
+          row.push_back(I(exact ? i : static_cast<int64_t>(d)));
+          break;
+        case DataType::kFloat:
+          row.push_back(F(static_cast<float>(d)));
+          break;
+        case DataType::kBool:
+          row.push_back(testutil::B(d != 0));
+          break;
+      }
+    }
+    expected.push_back(std::move(row));
+  }
+
+  auto sorted = [](std::vector<Row> rows) {
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      for (size_t k = 0; k < 3; ++k) {
+        if (KeyBits(a[k]) != KeyBits(b[k])) return KeyBits(a[k]) < KeyBits(b[k]);
+      }
+      return false;
+    });
+    return rows;
+  };
+  exec::HashAggregateOperator hash_agg(ScanAll(table), make_groups(), {"g", "h", "k"},
+                                       make_aggs());
+  const std::vector<Row> hash_rows = RunRows(&hash_agg);
+  ExpectSameRows(sorted(hash_rows), sorted(expected));
+  // Streaming with the sorted g as prefix, and with all three keys as the
+  // prefix over a (stable, so per-group row order is kept) sort of the input.
+  exec::StreamingAggregateOperator by_g(ScanAll(table), make_groups(), {"g", "h", "k"},
+                                        make_aggs(), 1);
+  ExpectSameRows(sorted(RunRows(&by_g)), sorted(hash_rows));
+  exec::StreamingAggregateOperator by_all(
+      std::make_unique<exec::SortOperator>(ScanAll(table), make_groups(),
+                                           std::vector<bool>{true, true, true}),
+      make_groups(), {"g", "h", "k"}, make_aggs(), 3);
+  ExpectSameRows(sorted(RunRows(&by_all)), sorted(hash_rows));
+  EXPECT_EQ(by_all.peak_group_count(), 1);
 }
 
 // ---------- sort / limit ----------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "benchlib/report.h"
+#include "common/config.h"
 #include "common/metrics.h"
 #include "common/validation.h"
 #include "exec/validate.h"
@@ -70,6 +71,17 @@ TEST_F(ValidationTest, MismatchedColumnLengthsCaught) {
       chunk, {DataType::kInt64, DataType::kFloat}, "test");
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("length"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(ValidationTest, OversizedChunkCaught) {
+  EXPECT_OK(exec::ValidateChunk(MakeChunk({DataType::kInt64}, kDefaultVectorSize),
+                                {DataType::kInt64}, "test"));
+  Status status = exec::ValidateChunk(
+      MakeChunk({DataType::kInt64}, kDefaultVectorSize + 1), {DataType::kInt64},
+      "test");
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("vector size"), std::string::npos)
       << status.ToString();
 }
 
