@@ -17,7 +17,7 @@ from ..core import Finding, Pass
 # UDF experiment's measured tax (paper Table 2).
 HOT_PATHS = ("src/modeljoin/", "src/nn/", "src/integration/capi_operator.cc",
              "src/exec/join.cc", "src/exec/aggregate.cc",
-             "src/exec/basic_operators.cc")
+             "src/exec/groupjoin.cc", "src/exec/basic_operators.cc")
 # Files under the hot paths allowed to box (none today; add `rel` paths with
 # a justification if a cold diagnostic path genuinely needs Value).
 ALLOWED_FILES: set = set()

@@ -380,14 +380,22 @@ struct I64x8 {
   static I64x8 Zero() { return Broadcast(0); }
   void Store(int64_t* p) const { std::memcpy(p, lane, sizeof(lane)); }
 
+  // Lanes wrap like the AVX2 lane ops; the unsigned detour avoids signed
+  // overflow.
   friend I64x8 operator+(I64x8 a, I64x8 b) {
     I64x8 r;
-    for (int i = 0; i < 8; ++i) r.lane[i] = a.lane[i] + b.lane[i];
+    for (int i = 0; i < 8; ++i) {
+      r.lane[i] = static_cast<int64_t>(static_cast<uint64_t>(a.lane[i]) +
+                                       static_cast<uint64_t>(b.lane[i]));
+    }
     return r;
   }
   friend I64x8 operator-(I64x8 a, I64x8 b) {
     I64x8 r;
-    for (int i = 0; i < 8; ++i) r.lane[i] = a.lane[i] - b.lane[i];
+    for (int i = 0; i < 8; ++i) {
+      r.lane[i] = static_cast<int64_t>(static_cast<uint64_t>(a.lane[i]) -
+                                       static_cast<uint64_t>(b.lane[i]));
+    }
     return r;
   }
   I64x8 Neg() const { return Zero() - *this; }
@@ -526,14 +534,22 @@ struct I64x8 {
   static I64x8 Zero() { return Broadcast(0); }
   void Store(int64_t* p) const { std::memcpy(p, lane, sizeof(lane)); }
 
+  // Lanes wrap like the AVX2 lane ops; the unsigned detour avoids signed
+  // overflow.
   friend I64x8 operator+(I64x8 a, I64x8 b) {
     I64x8 r;
-    for (int i = 0; i < 8; ++i) r.lane[i] = a.lane[i] + b.lane[i];
+    for (int i = 0; i < 8; ++i) {
+      r.lane[i] = static_cast<int64_t>(static_cast<uint64_t>(a.lane[i]) +
+                                       static_cast<uint64_t>(b.lane[i]));
+    }
     return r;
   }
   friend I64x8 operator-(I64x8 a, I64x8 b) {
     I64x8 r;
-    for (int i = 0; i < 8; ++i) r.lane[i] = a.lane[i] - b.lane[i];
+    for (int i = 0; i < 8; ++i) {
+      r.lane[i] = static_cast<int64_t>(static_cast<uint64_t>(a.lane[i]) -
+                                       static_cast<uint64_t>(b.lane[i]));
+    }
     return r;
   }
   I64x8 Neg() const { return Zero() - *this; }

@@ -215,6 +215,11 @@ using simd::F32x8;
 using simd::I64x8;
 using simd::Mask8;
 
+/// BIGINT arithmetic wraps in two's complement, as BIGINT SUM does: the
+/// scalar kernels compute on the unsigned bits, which cannot overflow.
+uint64_t ToBits(int64_t x) { return static_cast<uint64_t>(x); }
+int64_t WrapInt64(uint64_t bits) { return static_cast<int64_t>(bits); }
+
 /// Promotes a vector to float in place of `tmp` if needed; returns a pointer
 /// to float data covering all rows. Writes go through a raw typed pointer
 /// (the gather-kernel idiom), not per-row indexed vector accesses.
@@ -421,7 +426,7 @@ Status EvalBinary(const Expr& expr, const DataChunk& input, Vector* out) {
             (I64x8::Load(a + i) + I64x8::Load(b + i)).Store(o + i);
           }
         }
-        for (; i < n; ++i) o[i] = a[i] + b[i];
+        for (; i < n; ++i) o[i] = WrapInt64(ToBits(a[i]) + ToBits(b[i]));
         break;
       case BinaryOp::kSub:
         if (simd::UseSimd()) {
@@ -429,21 +434,22 @@ Status EvalBinary(const Expr& expr, const DataChunk& input, Vector* out) {
             (I64x8::Load(a + i) - I64x8::Load(b + i)).Store(o + i);
           }
         }
-        for (; i < n; ++i) o[i] = a[i] - b[i];
+        for (; i < n; ++i) o[i] = WrapInt64(ToBits(a[i]) - ToBits(b[i]));
         break;
       case BinaryOp::kMul:
-        for (; i < n; ++i) o[i] = a[i] * b[i];
+        for (; i < n; ++i) o[i] = WrapInt64(ToBits(a[i]) * ToBits(b[i]));
         break;
       case BinaryOp::kDiv:
         for (; i < n; ++i) {
           if (b[i] == 0) return Status::ExecutionError("division by zero");
-          o[i] = a[i] / b[i];
+          // INT64_MIN / -1 wraps to INT64_MIN (the quotient's negation).
+          o[i] = b[i] == -1 ? WrapInt64(0 - ToBits(a[i])) : a[i] / b[i];
         }
         break;
       case BinaryOp::kMod:
         for (; i < n; ++i) {
           if (b[i] == 0) return Status::ExecutionError("modulo by zero");
-          o[i] = a[i] % b[i];
+          o[i] = b[i] == -1 ? 0 : a[i] % b[i];
         }
         break;
       default:
@@ -650,7 +656,7 @@ Status EvaluateExpr(const Expr& expr, const DataChunk& input, Vector* out) {
       } else if (child.type() == DataType::kInt64) {
         const int64_t* a = std::as_const(child).ints();
         int64_t* o = out->ints();
-        for (int64_t i = 0; i < n; ++i) o[i] = -a[i];
+        for (int64_t i = 0; i < n; ++i) o[i] = WrapInt64(0 - ToBits(a[i]));
       } else {
         const float* a = std::as_const(child).floats();
         float* o = out->floats();

@@ -9,6 +9,7 @@
 #include "exec/aggregate.h"
 #include "exec/basic_operators.h"
 #include "exec/fused_scan.h"
+#include "exec/groupjoin.h"
 #include "exec/join.h"
 #include "exec/scan.h"
 #include "exec/validate.h"
@@ -52,6 +53,23 @@ bool ExprHasDivOrMod(const exec::Expr& e) {
     if (ExprHasDivOrMod(*c)) return true;
   }
   return false;
+}
+
+/// The aggregates of `node` with their arguments remapped through `mapping`.
+Result<std::vector<exec::AggregateSpec>> RemapAggregates(
+    const LogicalOp& node, const std::unordered_map<int64_t, int64_t>& mapping) {
+  std::vector<exec::AggregateSpec> aggs;
+  for (const auto& a : node.aggregates) {
+    exec::AggregateSpec spec;
+    spec.function = a.function;
+    spec.result_type = a.result_type;
+    spec.name = a.name;
+    if (a.argument) {
+      INDBML_ASSIGN_OR_RETURN(spec.argument, Remap(*a.argument, mapping));
+    }
+    aggs.push_back(std::move(spec));
+  }
+  return aggs;
 }
 
 }  // namespace
@@ -213,6 +231,81 @@ Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
       std::move(names)));
 }
 
+Result<PhysicalPlanner::JoinInputs> PhysicalPlanner::BuildJoinInputs(
+    const LogicalOp& join, int worker) {
+  JoinInputs in;
+  INDBML_ASSIGN_OR_RETURN(in.probe, Build(*join.children[0], worker));
+  INDBML_ASSIGN_OR_RETURN(in.build, Build(*join.children[1], worker));
+  auto probe_map = PositionMap(join.children[0]->outputs);
+  auto build_map = PositionMap(join.children[1]->outputs);
+  for (const auto& k : join.probe_keys) {
+    INDBML_ASSIGN_OR_RETURN(auto e, Remap(*k, probe_map));
+    in.probe_keys.push_back(std::move(e));
+  }
+  for (const auto& k : join.build_keys) {
+    INDBML_ASSIGN_OR_RETURN(auto e, Remap(*k, build_map));
+    in.build_keys.push_back(std::move(e));
+  }
+  return in;
+}
+
+Result<OperatorPtr> PhysicalPlanner::TryBuildGroupJoin(const LogicalOp& node,
+                                                       int worker) {
+  if (!node.streaming || node.children[0]->kind != LogicalKind::kHashJoin) {
+    return OperatorPtr();
+  }
+  const LogicalOp& join = *node.children[0];
+  auto probe_map = PositionMap(join.children[0]->outputs);
+  auto build_map = PositionMap(join.children[1]->outputs);
+  const size_t prefix = static_cast<size_t>(node.streaming_prefix);
+  // Prefix keys must be probe columns and the remaining keys build columns.
+  for (size_t g = 0; g < node.groups.size(); ++g) {
+    const exec::Expr& key = *node.groups[g];
+    const auto& side = g < prefix ? probe_map : build_map;
+    if (key.kind != exec::ExprKind::kColumnRef || side.count(key.column_id) == 0) {
+      return OperatorPtr();
+    }
+  }
+  // The narrow chunk: the probe columns the aggregate arguments read, then
+  // the build columns they read.
+  std::vector<int64_t> ids;
+  for (const auto& a : node.aggregates) {
+    if (a.argument) exec::CollectColumnIds(*a.argument, &ids);
+  }
+  std::unordered_map<int64_t, int64_t> narrow_map;
+  std::vector<int> probe_columns;
+  std::vector<int> build_columns;
+  for (int64_t id : ids) {
+    auto it = probe_map.find(id);
+    if (it == probe_map.end() || narrow_map.count(id) > 0) continue;
+    narrow_map[id] = static_cast<int64_t>(probe_columns.size());
+    probe_columns.push_back(static_cast<int>(it->second));
+  }
+  for (int64_t id : ids) {
+    auto it = build_map.find(id);
+    if (it == build_map.end() || narrow_map.count(id) > 0) continue;
+    narrow_map[id] = static_cast<int64_t>(probe_columns.size() + build_columns.size());
+    build_columns.push_back(static_cast<int>(it->second));
+  }
+  std::vector<ExprPtr> prefix_keys;
+  std::vector<ExprPtr> rest_keys;
+  std::vector<std::string> group_names;
+  for (size_t g = 0; g < node.groups.size(); ++g) {
+    INDBML_ASSIGN_OR_RETURN(auto e,
+                            Remap(*node.groups[g], g < prefix ? probe_map : build_map));
+    (g < prefix ? prefix_keys : rest_keys).push_back(std::move(e));
+    group_names.push_back(node.outputs[g].name);
+  }
+  INDBML_ASSIGN_OR_RETURN(auto aggs, RemapAggregates(node, narrow_map));
+  INDBML_ASSIGN_OR_RETURN(JoinInputs in, BuildJoinInputs(join, worker));
+  return OperatorPtr(std::make_unique<exec::GroupJoinOperator>(
+      std::move(in.probe), std::move(in.build), std::move(in.probe_keys),
+      std::move(in.build_keys), std::move(probe_columns), std::move(build_columns),
+      std::move(prefix_keys), std::move(rest_keys), std::move(group_names),
+      std::move(aggs), profile_,
+      profile_ != nullptr ? profile_node_ids_.at(&join) : -1));
+}
+
 Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker) {
   switch (node.kind) {
     case LogicalKind::kScan: {
@@ -254,23 +347,10 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
           std::move(child), std::move(exprs), std::move(names)));
     }
     case LogicalKind::kHashJoin: {
-      INDBML_ASSIGN_OR_RETURN(auto probe, Build(*node.children[0], worker));
-      INDBML_ASSIGN_OR_RETURN(auto build, Build(*node.children[1], worker));
-      auto probe_map = PositionMap(node.children[0]->outputs);
-      auto build_map = PositionMap(node.children[1]->outputs);
-      std::vector<ExprPtr> probe_keys;
-      std::vector<ExprPtr> build_keys;
-      for (const auto& k : node.probe_keys) {
-        INDBML_ASSIGN_OR_RETURN(auto e, Remap(*k, probe_map));
-        probe_keys.push_back(std::move(e));
-      }
-      for (const auto& k : node.build_keys) {
-        INDBML_ASSIGN_OR_RETURN(auto e, Remap(*k, build_map));
-        build_keys.push_back(std::move(e));
-      }
+      INDBML_ASSIGN_OR_RETURN(JoinInputs in, BuildJoinInputs(node, worker));
       return OperatorPtr(std::make_unique<exec::HashJoinOperator>(
-          std::move(probe), std::move(build), std::move(probe_keys),
-          std::move(build_keys)));
+          std::move(in.probe), std::move(in.build), std::move(in.probe_keys),
+          std::move(in.build_keys)));
     }
     case LogicalKind::kCrossJoin: {
       INDBML_ASSIGN_OR_RETURN(auto left, Build(*node.children[0], worker));
@@ -279,6 +359,8 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
                                                                    std::move(right)));
     }
     case LogicalKind::kAggregate: {
+      INDBML_ASSIGN_OR_RETURN(auto groupjoin, TryBuildGroupJoin(node, worker));
+      if (groupjoin != nullptr) return groupjoin;
       INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
       auto mapping = PositionMap(node.children[0]->outputs);
       std::vector<ExprPtr> groups;
@@ -288,17 +370,7 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
         groups.push_back(std::move(e));
         group_names.push_back(node.outputs[g].name);
       }
-      std::vector<exec::AggregateSpec> aggs;
-      for (const auto& a : node.aggregates) {
-        exec::AggregateSpec spec;
-        spec.function = a.function;
-        spec.result_type = a.result_type;
-        spec.name = a.name;
-        if (a.argument) {
-          INDBML_ASSIGN_OR_RETURN(spec.argument, Remap(*a.argument, mapping));
-        }
-        aggs.push_back(std::move(spec));
-      }
+      INDBML_ASSIGN_OR_RETURN(auto aggs, RemapAggregates(node, mapping));
       if (node.streaming) {
         return OperatorPtr(std::make_unique<exec::StreamingAggregateOperator>(
             std::move(child), std::move(groups), std::move(group_names),

@@ -113,6 +113,19 @@ class PhysicalPlanner {
   /// into one FusedTableScanOperator. Returns nullptr (OK) when the chain
   /// does not qualify; the caller falls through to discrete operators.
   Result<exec::OperatorPtr> TryBuildFused(const LogicalOp& node);
+  /// The children and remapped key expressions of a hash join node.
+  struct JoinInputs {
+    exec::OperatorPtr probe;
+    exec::OperatorPtr build;
+    std::vector<exec::ExprPtr> probe_keys;
+    std::vector<exec::ExprPtr> build_keys;
+  };
+  Result<JoinInputs> BuildJoinInputs(const LogicalOp& join, int worker);
+  /// Fuses a streaming Aggregate directly over a HashJoin into one
+  /// GroupJoinOperator when its sorted-prefix keys are probe columns and its
+  /// other group keys build columns (every ML-To-SQL layer block). Returns
+  /// nullptr (OK) otherwise. The join node keeps its profile slot.
+  Result<exec::OperatorPtr> TryBuildGroupJoin(const LogicalOp& node, int worker);
   /// True if `scan` is built morsel-bound rather than over its full table.
   bool IsMorselBound(const LogicalOp& scan) const;
   void RegisterProfileNodes(const LogicalOp& node, int depth);

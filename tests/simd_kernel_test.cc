@@ -356,6 +356,49 @@ TEST(SimdExpressionTest, ArithmeticBitIdentity) {
   }
 }
 
+// BIGINT +, - and * wrap in two's complement in the SIMD body and in the
+// scalar tail alike (n = 7: tail only, 8: body only, 9 and 1023: both).
+TEST(SimdExpressionTest, Int64ArithmeticWraps) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  struct Case {
+    BinaryOp op;
+    int64_t lhs;
+    int64_t rhs;
+    int64_t want;
+  };
+  const Case cases[] = {{BinaryOp::kAdd, kMax, 1, kMin},
+                        {BinaryOp::kSub, kMin, 1, kMax},
+                        {BinaryOp::kMul, kMax, 2, -2},
+                        {BinaryOp::kDiv, kMin, -1, kMin},
+                        {BinaryOp::kMod, kMin, -1, 0}};
+  for (int64_t n : {int64_t{7}, int64_t{8}, int64_t{9}, int64_t{1023}}) {
+    for (const Case& c : cases) {
+      DataChunk chunk;
+      chunk.Reset({DataType::kInt64, DataType::kInt64});
+      for (int64_t col = 0; col < 2; ++col) chunk.column(col).Resize(n);
+      for (int64_t i = 0; i < n; ++i) {
+        chunk.column(0).ints()[i] = c.lhs;
+        chunk.column(1).ints()[i] = c.rhs;
+      }
+      chunk.size = n;
+      auto e = exec::MakeBinary(c.op, exec::MakeColumnRef(0, DataType::kInt64),
+                                exec::MakeColumnRef(1, DataType::kInt64));
+      for (bool simd_on : {true, false}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " op=" +
+                     std::string(exec::BinaryOpName(c.op)) +
+                     (simd_on ? " simd" : " scalar"));
+        simd::ScopedEnable mode(simd_on);
+        Vector out(DataType::kInt64);
+        ASSERT_OK(exec::EvaluateExpr(*e, chunk, &out));
+        out.Flatten();
+        ASSERT_EQ(out.size(), n);
+        for (int64_t i = 0; i < n; ++i) ASSERT_EQ(out.ints()[i], c.want) << "row " << i;
+      }
+    }
+  }
+}
+
 TEST(SimdExpressionTest, CaseAndCastBitIdentity) {
   for (int64_t n : kSizes) {
     DataChunk chunk = MakeChunk(n, 300);

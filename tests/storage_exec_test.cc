@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -10,6 +11,7 @@
 #include "common/random.h"
 #include "exec/aggregate.h"
 #include "exec/basic_operators.h"
+#include "exec/groupjoin.h"
 #include "exec/join.h"
 #include "exec/scan.h"
 #include "storage/table.h"
@@ -814,6 +816,286 @@ TEST(AggregateTest, EveryFunctionAndTypeMatchesReference) {
       make_groups(), {"g", "h", "k"}, make_aggs(), 3);
   ExpectSameRows(sorted(RunRows(&by_all)), sorted(hash_rows));
   EXPECT_EQ(by_all.peak_group_count(), 1);
+}
+
+// ---------- groupjoin ----------
+
+/// Probe (p BIGINT sorted, a BIGINT, b FLOAT, xi BIGINT, xf FLOAT): p runs of
+/// 7 rows cross the 1024-row scan chunks; keys as in MakeKeyTable plus a = 4,
+/// which no build row has.
+storage::TablePtr MakeGroupJoinProbe(int64_t rows, uint64_t seed) {
+  const float floats[] = {0.0f, -0.0f, 1.5f, -2.25f};
+  Random rng(seed);
+  auto t = std::make_shared<storage::Table>(
+      "probe", std::vector<storage::Field>{{"p", DataType::kInt64},
+                                           {"a", DataType::kInt64},
+                                           {"b", DataType::kFloat},
+                                           {"xi", DataType::kInt64},
+                                           {"xf", DataType::kFloat}});
+  for (int64_t r = 0; r < rows; ++r) {
+    INDBML_CHECK(t->AppendRow({I(r / 7), I(static_cast<int64_t>(rng.NextUint64(5))),
+                               F(floats[rng.NextUint64(4)]),
+                               I(static_cast<int64_t>(rng.NextUint64()) >> 1),
+                               F(rng.NextFloat(-4, 4))})
+                     .ok());
+  }
+  t->Finalize();
+  return t;
+}
+
+/// Build (a BIGINT, b FLOAT, g BIGINT, h FLOAT, yi BIGINT, yf FLOAT): join
+/// keys with duplicates and both zeros, rest keys (g, h) with both zeros
+/// (six groups), and `heavy` rows of key (1, 1.5) after the first 100.
+storage::TablePtr MakeGroupJoinBuild(int64_t rows, int64_t heavy, uint64_t seed) {
+  const float floats[] = {0.0f, -0.0f, 1.5f, -2.25f};
+  const float rest[] = {0.0f, -0.0f, 0.5f};
+  Random rng(seed);
+  auto t = std::make_shared<storage::Table>(
+      "build", std::vector<storage::Field>{{"a", DataType::kInt64},
+                                           {"b", DataType::kFloat},
+                                           {"g", DataType::kInt64},
+                                           {"h", DataType::kFloat},
+                                           {"yi", DataType::kInt64},
+                                           {"yf", DataType::kFloat}});
+  for (int64_t r = 0; r < rows + heavy; ++r) {
+    const bool is_heavy = r >= 100 && r < 100 + heavy;
+    INDBML_CHECK(
+        t->AppendRow({I(is_heavy ? 1 : static_cast<int64_t>(rng.NextUint64(4))),
+                      F(is_heavy ? 1.5f : floats[rng.NextUint64(4)]),
+                      I(static_cast<int64_t>(rng.NextUint64(3))), F(rest[rng.NextUint64(3)]),
+                      I(static_cast<int64_t>(rng.NextUint64()) >> 1),
+                      F(rng.NextFloat(-4, 4))})
+            .ok());
+  }
+  t->Finalize();
+  return t;
+}
+
+/// Builds `Aggregate(prefix p; rest g, h)` over `join(probe, build on a, b)`
+/// twice: as HashJoinOperator -> StreamingAggregateOperator and as one
+/// GroupJoinOperator. The aggregates are COUNT(*) and every AggFunction
+/// over BIGINT (xi + yi) and FLOAT (xf * yf), arguments reading both sides.
+struct GroupJoinPair {
+  std::unique_ptr<exec::Operator> unfused;
+  std::unique_ptr<exec::GroupJoinOperator> fused;
+};
+
+GroupJoinPair MakeGroupJoinPair(
+    const std::function<exec::OperatorPtr()>& probe,
+    const std::function<exec::OperatorPtr()>& build) {
+  constexpr int64_t kProbeWidth = 5;
+  // Column positions: the unfused aggregate reads the joined row (probe
+  // columns, then build columns); the fused one reads a narrow chunk of
+  // probe xi, xf and build yi, yf.
+  auto make_aggs = [](bool narrow) {
+    const int64_t xi = narrow ? 0 : 3, xf = narrow ? 1 : 4;
+    const int64_t yi = narrow ? 2 : kProbeWidth + 4, yf = narrow ? 3 : kProbeWidth + 5;
+    std::vector<exec::AggregateSpec> aggs;
+    exec::AggregateSpec count_star;
+    count_star.function = exec::AggFunction::kCount;
+    count_star.result_type = DataType::kInt64;
+    count_star.name = "n";
+    aggs.push_back(std::move(count_star));
+    for (auto fn : {exec::AggFunction::kSum, exec::AggFunction::kCount,
+                    exec::AggFunction::kMin, exec::AggFunction::kMax,
+                    exec::AggFunction::kAvg}) {
+      for (bool is_float : {false, true}) {
+        exec::AggregateSpec spec;
+        spec.function = fn;
+        spec.argument =
+            is_float ? exec::MakeBinary(exec::BinaryOp::kMul,
+                                        exec::MakeColumnRef(xf, DataType::kFloat),
+                                        exec::MakeColumnRef(yf, DataType::kFloat))
+                     : exec::MakeBinary(exec::BinaryOp::kAdd,
+                                        exec::MakeColumnRef(xi, DataType::kInt64),
+                                        exec::MakeColumnRef(yi, DataType::kInt64));
+        spec.result_type = fn == exec::AggFunction::kCount ? DataType::kInt64
+                           : fn == exec::AggFunction::kAvg || is_float ? DataType::kFloat
+                                                                       : DataType::kInt64;
+        spec.name = exec::AggFunctionName(fn);
+        aggs.push_back(std::move(spec));
+      }
+    }
+    return aggs;
+  };
+  auto key = [](int64_t col, DataType type) {
+    std::vector<exec::ExprPtr> keys;
+    keys.push_back(exec::MakeColumnRef(col, type));
+    return keys;
+  };
+  auto probe_keys = [&] {
+    std::vector<exec::ExprPtr> keys = key(1, DataType::kInt64);
+    keys.push_back(exec::MakeColumnRef(2, DataType::kFloat));
+    return keys;
+  };
+  std::vector<exec::ExprPtr> groups;
+  groups.push_back(exec::MakeColumnRef(0, DataType::kInt64));
+  groups.push_back(exec::MakeColumnRef(kProbeWidth + 2, DataType::kInt64));
+  groups.push_back(exec::MakeColumnRef(kProbeWidth + 3, DataType::kFloat));
+  GroupJoinPair pair;
+  pair.unfused = std::make_unique<exec::StreamingAggregateOperator>(
+      std::make_unique<exec::HashJoinOperator>(probe(), build(), probe_keys(),
+                                               TwoColumnKeys()),
+      std::move(groups), std::vector<std::string>{"p", "g", "h"}, make_aggs(false), 1);
+  std::vector<exec::ExprPtr> rest = key(2, DataType::kInt64);
+  rest.push_back(exec::MakeColumnRef(3, DataType::kFloat));
+  pair.fused = std::make_unique<exec::GroupJoinOperator>(
+      probe(), build(), probe_keys(), TwoColumnKeys(), std::vector<int>{3, 4},
+      std::vector<int>{4, 5}, key(0, DataType::kInt64), std::move(rest),
+      std::vector<std::string>{"p", "g", "h"}, make_aggs(true));
+  return pair;
+}
+
+/// Drains an open operator into its non-empty chunks, asserting the vector
+/// size bound.
+std::vector<DataChunk> DrainChunks(exec::Operator* op, ExecContext* ctx) {
+  std::vector<DataChunk> chunks;
+  bool eof = false;
+  while (!eof) {
+    DataChunk chunk;
+    chunk.Reset(op->output_types());
+    const Status st = op->Next(ctx, &chunk, &eof);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (!st.ok()) break;
+    EXPECT_LE(chunk.size, kDefaultVectorSize);
+    if (chunk.size > 0) chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+/// Same chunk cuts and the same bytes in every column.
+void ExpectSameChunks(const std::vector<DataChunk>& actual,
+                      const std::vector<DataChunk>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i].size, expected[i].size) << "chunk " << i;
+    ASSERT_EQ(actual[i].num_columns(), expected[i].num_columns());
+    for (int64_t c = 0; c < actual[i].num_columns(); ++c) {
+      exec::Vector a = actual[i].column(c);
+      exec::Vector e = expected[i].column(c);
+      a.Flatten();
+      e.Flatten();
+      ASSERT_EQ(a.type(), e.type());
+      const size_t bytes =
+          static_cast<size_t>(actual[i].size) * storage::DataTypeSize(a.type());
+      const void* pa = a.type() == DataType::kInt64   ? static_cast<const void*>(a.ints())
+                       : a.type() == DataType::kFloat ? static_cast<const void*>(a.floats())
+                                                      : static_cast<const void*>(a.bools());
+      const void* pe = e.type() == DataType::kInt64   ? static_cast<const void*>(e.ints())
+                       : e.type() == DataType::kFloat ? static_cast<const void*>(e.floats())
+                                                      : static_cast<const void*>(e.bools());
+      EXPECT_EQ(std::memcmp(pa, pe, bytes), 0) << "chunk " << i << " column " << c;
+    }
+  }
+}
+
+std::vector<DataChunk> RunChunks(exec::Operator* op) {
+  ExecContext ctx;
+  EXPECT_OK(op->Open(&ctx));
+  std::vector<DataChunk> chunks = DrainChunks(op, &ctx);
+  op->Close(&ctx);
+  return chunks;
+}
+
+TEST(GroupJoinTest, MatchesJoinThenStreamingAggregateBitForBit) {
+  // 3 000 probe rows in prefixes of 7 over 1 350 build rows, 1 250 of them
+  // of key (1, 1.5): each probe row of that key walks > 1 100 pairs, and the
+  // probe rows of a = 4 walk none. The ~2 500 groups span several chunks.
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto probe = MakeGroupJoinProbe(3000, seed);
+    auto build = MakeGroupJoinBuild(100, 1250, seed + 100);
+    GroupJoinPair pair = MakeGroupJoinPair([&] { return ScanAll(probe); },
+                                           [&] { return ScanAll(build); });
+    const std::vector<DataChunk> expected = RunChunks(pair.unfused.get());
+    ASSERT_GT(expected.size(), 1u);
+    ExpectSameChunks(RunChunks(pair.fused.get()), expected);
+  }
+}
+
+TEST(GroupJoinTest, FirstSeenGroupOrderWithinPrefix) {
+  // Prefix 0's first probe row matches only group (g 1, h 0.5); its second
+  // row adds (0, 0.0), which must come out second although it was numbered
+  // first on the build side.
+  auto probe = MakeTable("probe",
+                         {{"p", DataType::kInt64}, {"a", DataType::kInt64},
+                          {"b", DataType::kFloat}, {"xi", DataType::kInt64},
+                          {"xf", DataType::kFloat}},
+                         {{I(0), I(2), F(0.0f), I(1), F(1.0f)},
+                          {I(0), I(1), F(-0.0f), I(2), F(2.0f)},
+                          {I(1), I(1), F(0.0f), I(3), F(3.0f)}});
+  auto build = MakeTable("build",
+                         {{"a", DataType::kInt64}, {"b", DataType::kFloat},
+                          {"g", DataType::kInt64}, {"h", DataType::kFloat},
+                          {"yi", DataType::kInt64}, {"yf", DataType::kFloat}},
+                         {{I(1), F(0.0f), I(0), F(0.0f), I(10), F(0.5f)},
+                          {I(2), F(-0.0f), I(1), F(0.5f), I(20), F(0.25f)},
+                          {I(1), F(0.0f), I(1), F(0.5f), I(30), F(2.0f)}});
+  GroupJoinPair pair = MakeGroupJoinPair([&] { return ScanAll(probe); },
+                                         [&] { return ScanAll(build); });
+  const std::vector<DataChunk> fused = RunChunks(pair.fused.get());
+  ExpectSameChunks(fused, RunChunks(pair.unfused.get()));
+  ASSERT_EQ(fused.size(), 1u);
+  ASSERT_EQ(fused[0].size, 4);
+  const int64_t g[] = {1, 0, 0, 1};
+  for (int64_t r = 0; r < 4; ++r) EXPECT_EQ(fused[0].column(1).GetValue(r).i, g[r]);
+}
+
+TEST(GroupJoinTest, SelectedProbeAndEmptyBuild) {
+  auto probe = MakeGroupJoinProbe(2500, 5);
+  auto build = MakeGroupJoinBuild(200, 0, 6);
+  auto empty = MakeGroupJoinBuild(0, 0, 7);
+  // Keep probe rows whose xi is odd: a selection vector on every chunk.
+  auto filtered = [&] {
+    return exec::OperatorPtr(std::make_unique<exec::FilterOperator>(
+        ScanAll(probe),
+        exec::MakeBinary(exec::BinaryOp::kNe,
+                         exec::MakeBinary(exec::BinaryOp::kMod,
+                                          exec::MakeColumnRef(3, DataType::kInt64),
+                                          exec::MakeConstant(I(2))),
+                         exec::MakeConstant(I(0)))));
+  };
+  {
+    GroupJoinPair pair = MakeGroupJoinPair(filtered, [&] { return ScanAll(build); });
+    const std::vector<DataChunk> expected = RunChunks(pair.unfused.get());
+    ASSERT_FALSE(expected.empty());
+    ExpectSameChunks(RunChunks(pair.fused.get()), expected);
+  }
+  {
+    GroupJoinPair pair = MakeGroupJoinPair(filtered, [&] { return ScanAll(empty); });
+    EXPECT_TRUE(RunChunks(pair.fused.get()).empty());
+    EXPECT_TRUE(RunChunks(pair.unfused.get()).empty());
+  }
+}
+
+TEST(GroupJoinTest, MorselDrivenBuildSideIsRebuiltPerRewind) {
+  auto probe = MakeGroupJoinProbe(1500, 8);
+  auto build = MakeGroupJoinBuild(400, 300, 9);
+  auto morsel_build = [&] {
+    return exec::OperatorPtr(std::make_unique<exec::TableScanOperator>(
+        exec::TableScanOperator::MorselBound{}, build, std::vector<int>{0, 1, 2, 3, 4, 5},
+        std::vector<exec::ScanPredicate>{}));
+  };
+  GroupJoinPair pair = MakeGroupJoinPair([&] { return ScanAll(probe); }, morsel_build);
+  ASSERT_TRUE(pair.fused->MorselDriven());
+  ExecContext fused_ctx;
+  ExecContext unfused_ctx;
+  ASSERT_OK(pair.fused->Open(&fused_ctx));
+  ASSERT_OK(pair.unfused->Open(&unfused_ctx));
+  for (auto [begin, end] :
+       {std::pair<int64_t, int64_t>{0, 150}, {150, 700}, {90, 91}, {700, 700}}) {
+    SCOPED_TRACE("morsel " + std::to_string(begin) + ".." + std::to_string(end));
+    for (ExecContext* ctx : {&fused_ctx, &unfused_ctx}) {
+      ctx->morsel_begin = begin;
+      ctx->morsel_end = end;
+    }
+    ASSERT_OK(pair.fused->Rewind(&fused_ctx));
+    ASSERT_OK(pair.unfused->Rewind(&unfused_ctx));
+    ExpectSameChunks(DrainChunks(pair.fused.get(), &fused_ctx),
+                     DrainChunks(pair.unfused.get(), &unfused_ctx));
+  }
+  pair.fused->Close(&fused_ctx);
+  pair.unfused->Close(&unfused_ctx);
 }
 
 // ---------- sort / limit ----------
