@@ -8,13 +8,13 @@
 
 namespace indbml::exec {
 
-namespace {
-
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+namespace {
 
 std::string FormatNanos(int64_t nanos) {
   return StrFormat("%.3fms", static_cast<double>(nanos) / 1e6);
@@ -95,9 +95,11 @@ Status ProfiledOperator::Open(ExecContext* ctx) {
   OperatorStats* stats = profile_->slot(node_id_, ctx->worker_id);
   OperatorStats* saved = ctx->active_stats;
   ctx->active_stats = stats;
-  int64_t start = NowNanos();
-  Status status = inner_->Open(ctx);
-  stats->open_nanos += NowNanos() - start;
+  Status status;
+  {
+    ScopedNanos timer(&stats->open_nanos);
+    status = inner_->Open(ctx);
+  }
   ctx->active_stats = saved;
   return status;
 }
@@ -106,9 +108,11 @@ Status ProfiledOperator::Rewind(ExecContext* ctx) {
   OperatorStats* stats = profile_->slot(node_id_, ctx->worker_id);
   OperatorStats* saved = ctx->active_stats;
   ctx->active_stats = stats;
-  int64_t start = NowNanos();
-  Status status = inner_->Rewind(ctx);
-  stats->rewind_nanos += NowNanos() - start;
+  Status status;
+  {
+    ScopedNanos timer(&stats->rewind_nanos);
+    status = inner_->Rewind(ctx);
+  }
   ctx->active_stats = saved;
   return status;
 }
@@ -117,9 +121,11 @@ Status ProfiledOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
   OperatorStats* stats = profile_->slot(node_id_, ctx->worker_id);
   OperatorStats* saved = ctx->active_stats;
   ctx->active_stats = stats;
-  int64_t start = NowNanos();
-  Status status = inner_->Next(ctx, out, eof);
-  stats->next_nanos += NowNanos() - start;
+  Status status;
+  {
+    ScopedNanos timer(&stats->next_nanos);
+    status = inner_->Next(ctx, out, eof);
+  }
   ctx->active_stats = saved;
   if (status.ok() && out->size > 0) {
     stats->rows += out->size;
@@ -132,9 +138,10 @@ void ProfiledOperator::Close(ExecContext* ctx) {
   OperatorStats* stats = profile_->slot(node_id_, ctx->worker_id);
   OperatorStats* saved = ctx->active_stats;
   ctx->active_stats = stats;
-  int64_t start = NowNanos();
-  inner_->Close(ctx);
-  stats->close_nanos += NowNanos() - start;
+  {
+    ScopedNanos timer(&stats->close_nanos);
+    inner_->Close(ctx);
+  }
   ctx->active_stats = saved;
 }
 

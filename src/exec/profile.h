@@ -36,6 +36,27 @@ struct OperatorStats {
   void MergeFrom(const OperatorStats& other);
 };
 
+/// Steady-clock time in nanoseconds: the clock of every profile duration.
+int64_t NowNanos();
+
+/// \brief Adds the wall time of its scope to `*nanos`; does nothing when
+/// `nanos` is null (the query is not profiled).
+class ScopedNanos {
+ public:
+  explicit ScopedNanos(int64_t* nanos)
+      : nanos_(nanos), start_(nanos != nullptr ? NowNanos() : 0) {}
+  ~ScopedNanos() {
+    if (nanos_ != nullptr) *nanos_ += NowNanos() - start_;
+  }
+
+  ScopedNanos(const ScopedNanos&) = delete;
+  ScopedNanos& operator=(const ScopedNanos&) = delete;
+
+ private:
+  int64_t* nanos_;
+  int64_t start_;
+};
+
 /// \brief Per-query profile: one OperatorStats slot per (plan node,
 /// worker).
 ///
