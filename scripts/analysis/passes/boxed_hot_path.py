@@ -12,12 +12,14 @@ import re
 from ..core import Finding, Pass
 
 # Inference hot paths, plus the relational operators ML-To-SQL runs on (paper
-# §4: inference as joins and SUM ... GROUP BY). UDF boxing
+# §4: inference as joins and SUM ... GROUP BY, over model-table scans with
+# pushed layer filters). UDF boxing
 # (src/integration/udf.cc) is deliberately NOT listed: per-value boxing is the
 # UDF experiment's measured tax (paper Table 2).
 HOT_PATHS = ("src/modeljoin/", "src/nn/", "src/integration/capi_operator.cc",
              "src/exec/join.cc", "src/exec/aggregate.cc",
-             "src/exec/groupjoin.cc", "src/exec/basic_operators.cc")
+             "src/exec/groupjoin.cc", "src/exec/basic_operators.cc",
+             "src/exec/scan.cc")
 # Files under the hot paths allowed to box (none today; add `rel` paths with
 # a justification if a cold diagnostic path genuinely needs Value).
 ALLOWED_FILES: set = set()

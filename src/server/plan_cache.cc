@@ -22,20 +22,13 @@ void Mix(uint64_t* h, uint64_t v) {
 
 }  // namespace
 
-uint64_t OptionsFingerprint(const sql::QueryEngine::Options& options) {
+uint64_t OptionsFingerprint(const sql::OptimizerOptions& options) {
   uint64_t h = kFnvOffset;
-  Mix(&h, static_cast<uint64_t>(options.worker_threads));
-  Mix(&h, static_cast<uint64_t>(options.morsel_rows));
-  Mix(&h, static_cast<uint64_t>(options.inference.batch_window_us));
-  Mix(&h, static_cast<uint64_t>(options.inference.max_batch_rows));
   uint64_t flags = 0;
-  flags = flags << 1 | (options.fused_pipeline ? 1 : 0);
-  flags = flags << 1 | (options.shared_models ? 1 : 0);
-  flags = flags << 1 | (options.inference.result_cache ? 1 : 0);
-  flags = flags << 1 | (options.optimizer.predicate_pushdown ? 1 : 0);
-  flags = flags << 1 | (options.optimizer.join_conversion ? 1 : 0);
-  flags = flags << 1 | (options.optimizer.projection_pruning ? 1 : 0);
-  flags = flags << 1 | (options.optimizer.ordered_aggregation ? 1 : 0);
+  flags = flags << 1 | (options.predicate_pushdown ? 1 : 0);
+  flags = flags << 1 | (options.join_conversion ? 1 : 0);
+  flags = flags << 1 | (options.projection_pruning ? 1 : 0);
+  flags = flags << 1 | (options.ordered_aggregation ? 1 : 0);
   Mix(&h, flags);
   return h;
 }

@@ -13,9 +13,11 @@
 
 namespace indbml::server {
 
-/// FNV-1a over every planning-relevant engine option, so two sessions with
-/// different optimizer or execution settings never share a cached plan.
-uint64_t OptionsFingerprint(const sql::QueryEngine::Options& options);
+/// FNV-1a over the optimizer options, the only engine options planning
+/// reads (QueryEngine::PlanQuery): sessions with different optimizer
+/// settings never share a cached plan, while sessions that differ only in
+/// execution settings (workers, morsels, model sharing, inference) do.
+uint64_t OptionsFingerprint(const sql::OptimizerOptions& options);
 
 /// \brief Process-wide prepared-statement cache.
 ///

@@ -42,7 +42,7 @@ Result<std::shared_ptr<QueryHandle>> Session::Submit(const std::string& sql) {
   PlanCache::Key key;
   if (cache != nullptr) {
     key.sql = sql;
-    key.options_fingerprint = OptionsFingerprint(opts);
+    key.options_fingerprint = OptionsFingerprint(opts.optimizer);
     key.catalog_version = engine->catalog()->version();
     plan = cache->Lookup(key);
   }

@@ -8,7 +8,6 @@
 #include "common/validation.h"
 #include "exec/aggregate.h"
 #include "exec/basic_operators.h"
-#include "exec/fused_scan.h"
 #include "exec/groupjoin.h"
 #include "exec/join.h"
 #include "exec/scan.h"
@@ -41,9 +40,9 @@ Result<ExprPtr> Remap(const exec::Expr& expr,
   return clone;
 }
 
-/// Division and modulo can fail per row (divide by zero). The fused scan
+/// Division and modulo can fail per row (divide by zero). The scan
 /// evaluates residual conditions over all window rows, not just prior
-/// survivors, so only conditions that cannot fail row-wise are fusable.
+/// survivors, so only conditions that cannot fail row-wise are absorbed.
 bool ExprHasDivOrMod(const exec::Expr& e) {
   if (e.kind == exec::ExprKind::kBinary &&
       (e.bin_op == exec::BinaryOp::kDiv || e.bin_op == exec::BinaryOp::kMod)) {
@@ -78,13 +77,11 @@ PhysicalPlanner::PhysicalPlanner(const LogicalOp* plan, const PlanAnalysis& anal
                                  int requested_workers,
                                  ModelJoinStateFactory state_factory,
                                  ModelJoinOperatorFactory operator_factory,
-                                 exec::QueryProfile* profile, bool fused_pipeline,
-                                 bool shared_models,
+                                 exec::QueryProfile* profile, bool shared_models,
                                  InferenceExecOptions inference)
     : plan_(plan),
       analysis_(analysis),
       num_workers_(analysis.parallel_safe ? std::max(1, requested_workers) : 1),
-      fused_pipeline_(fused_pipeline),
       shared_models_(shared_models),
       inference_(inference),
       state_factory_(std::move(state_factory)),
@@ -169,15 +166,12 @@ bool PhysicalPlanner::IsMorselBound(const LogicalOp& scan) const {
   return num_workers_ > 1 && scan.table.get() == analysis_.partitioned_table;
 }
 
-Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
-  // Profiled plans keep the discrete operators so EXPLAIN ANALYZE reports
-  // true per-operator row counts and timings.
-  if (!fused_pipeline_ || profile_ != nullptr) return OperatorPtr();
+Result<OperatorPtr> PhysicalPlanner::TryBuildScan(const LogicalOp& node) {
   const LogicalOp* cur = &node;
   const LogicalOp* project = nullptr;
   if (cur->kind == LogicalKind::kProject) {
-    // Only pure column-selection projects fuse; computed expressions keep
-    // the discrete ProjectOperator.
+    // Only pure column-selection projects are absorbed; computed
+    // expressions keep the discrete ProjectOperator.
     for (const auto& e : cur->exprs) {
       if (e->kind != exec::ExprKind::kColumnRef) return OperatorPtr();
     }
@@ -192,11 +186,10 @@ Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
   }
   if (cur->kind != LogicalKind::kScan) return OperatorPtr();
   const LogicalOp& scan = *cur;
-  // A bare scan with no predicates gains nothing from fusion.
-  if (filters.empty() && scan.pushed.empty()) return OperatorPtr();
 
   // Filter conditions and the projection both reference the scan's outputs
   // (filters preserve their child's columns), so one map serves all.
+  // Residuals run bottom-up, in the order the discrete filters would.
   auto scan_map = PositionMap(scan.outputs);
   std::vector<ExprPtr> residuals;
   for (auto it = filters.rbegin(); it != filters.rend(); ++it) {
@@ -212,23 +205,33 @@ Result<OperatorPtr> PhysicalPlanner::TryBuildFused(const LogicalOp& node) {
       projection.push_back(static_cast<int>(it->second));
       names.push_back(project->outputs[i].name);
     }
-  } else {
-    for (size_t i = 0; i < scan.outputs.size(); ++i) {
-      projection.push_back(static_cast<int>(i));
-      names.push_back(scan.outputs[i].name);
+  }
+  // Every node below the chain root is absorbed: it reports its own rows,
+  // while the root's ProfiledOperator times the whole chain.
+  exec::ScanProfile profile;
+  if (profile_ != nullptr) {
+    auto absorbed = [&](const LogicalOp* n) {
+      return n == &node ? -1 : profile_node_ids_.at(n);
+    };
+    profile.profile = profile_;
+    profile.scan_node = absorbed(&scan);
+    for (auto it = filters.rbegin(); it != filters.rend(); ++it) {
+      profile.residual_nodes.push_back(absorbed(*it));
     }
   }
 
   if (IsMorselBound(scan)) {
-    return OperatorPtr(std::make_unique<exec::FusedTableScanOperator>(
-        exec::FusedTableScanOperator::MorselBound{}, scan.table,
-        scan.scan_columns, scan.pushed, std::move(residuals),
-        std::move(projection), std::move(names)));
+    // Morsel-bound: starts empty; the pipeline executor re-targets the
+    // scan's row range per claimed morsel via Rewind.
+    return OperatorPtr(std::make_unique<exec::TableScanOperator>(
+        exec::TableScanOperator::MorselBound{}, scan.table, scan.scan_columns,
+        scan.pushed, std::move(residuals), std::move(projection), std::move(names),
+        std::move(profile)));
   }
-  return OperatorPtr(std::make_unique<exec::FusedTableScanOperator>(
+  return OperatorPtr(std::make_unique<exec::TableScanOperator>(
       scan.table, storage::PartitionRange{0, scan.table->num_rows()},
       scan.scan_columns, scan.pushed, std::move(residuals), std::move(projection),
-      std::move(names)));
+      std::move(names), std::move(profile)));
 }
 
 Result<PhysicalPlanner::JoinInputs> PhysicalPlanner::BuildJoinInputs(
@@ -308,23 +311,11 @@ Result<OperatorPtr> PhysicalPlanner::TryBuildGroupJoin(const LogicalOp& node,
 
 Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker) {
   switch (node.kind) {
-    case LogicalKind::kScan: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
-      if (fused != nullptr) return fused;
-      if (IsMorselBound(node)) {
-        // Morsel-bound: starts empty; the pipeline executor re-targets the
-        // scan's row range per claimed morsel via Rewind.
-        return OperatorPtr(std::make_unique<exec::TableScanOperator>(
-            exec::TableScanOperator::MorselBound{}, node.table, node.scan_columns,
-            node.pushed));
-      }
-      return OperatorPtr(std::make_unique<exec::TableScanOperator>(
-          node.table, storage::PartitionRange{0, node.table->num_rows()},
-          node.scan_columns, node.pushed));
-    }
+    case LogicalKind::kScan:
+      return TryBuildScan(node);
     case LogicalKind::kFilter: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
-      if (fused != nullptr) return fused;
+      INDBML_ASSIGN_OR_RETURN(auto scan, TryBuildScan(node));
+      if (scan != nullptr) return scan;
       INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
       auto mapping = PositionMap(node.children[0]->outputs);
       INDBML_ASSIGN_OR_RETURN(auto cond, Remap(*node.condition, mapping));
@@ -332,8 +323,8 @@ Result<OperatorPtr> PhysicalPlanner::BuildNode(const LogicalOp& node, int worker
           std::make_unique<exec::FilterOperator>(std::move(child), std::move(cond)));
     }
     case LogicalKind::kProject: {
-      INDBML_ASSIGN_OR_RETURN(auto fused, TryBuildFused(node));
-      if (fused != nullptr) return fused;
+      INDBML_ASSIGN_OR_RETURN(auto scan, TryBuildScan(node));
+      if (scan != nullptr) return scan;
       INDBML_ASSIGN_OR_RETURN(auto child, Build(*node.children[0], worker));
       auto mapping = PositionMap(node.children[0]->outputs);
       std::vector<ExprPtr> exprs;

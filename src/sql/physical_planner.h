@@ -83,13 +83,14 @@ class PhysicalPlanner {
  public:
   /// With a non-null `profile`, Prepare() registers every plan node in it
   /// and Instantiate() wraps each operator in an exec::ProfiledOperator
-  /// writing that profile (EXPLAIN ANALYZE); with null, plans execute with
-  /// zero profiling overhead.
+  /// writing that profile (EXPLAIN ANALYZE); nodes absorbed into a scan or
+  /// a groupjoin report through the profile handles those operators get.
+  /// The operator tree is the same with and without a profile; with null,
+  /// plans execute with zero profiling overhead.
   PhysicalPlanner(const LogicalOp* plan, const PlanAnalysis& analysis,
                   int requested_workers, ModelJoinStateFactory state_factory,
                   ModelJoinOperatorFactory operator_factory,
-                  exec::QueryProfile* profile = nullptr,
-                  bool fused_pipeline = true, bool shared_models = false,
+                  exec::QueryProfile* profile = nullptr, bool shared_models = false,
                   InferenceExecOptions inference = {});
 
   /// Effective worker count (1 if the plan is not parallel-safe).
@@ -109,10 +110,11 @@ class PhysicalPlanner {
  private:
   Result<exec::OperatorPtr> Build(const LogicalOp& node, int worker);
   Result<exec::OperatorPtr> BuildNode(const LogicalOp& node, int worker);
-  /// Fuses a [Project(column refs)] [Filter]* Scan chain rooted at `node`
-  /// into one FusedTableScanOperator. Returns nullptr (OK) when the chain
-  /// does not qualify; the caller falls through to discrete operators.
-  Result<exec::OperatorPtr> TryBuildFused(const LogicalOp& node);
+  /// Builds the [Project(column refs)] [Filter]* Scan chain rooted at `node`
+  /// as one TableScanOperator. Returns nullptr (OK) when the chain does not
+  /// qualify; the caller falls through to discrete operators. A Scan node
+  /// always qualifies.
+  Result<exec::OperatorPtr> TryBuildScan(const LogicalOp& node);
   /// The children and remapped key expressions of a hash join node.
   struct JoinInputs {
     exec::OperatorPtr probe;
@@ -133,7 +135,6 @@ class PhysicalPlanner {
   const LogicalOp* plan_;
   PlanAnalysis analysis_;
   int num_workers_;
-  bool fused_pipeline_;
   bool shared_models_;
   InferenceExecOptions inference_;
   ModelJoinStateFactory state_factory_;

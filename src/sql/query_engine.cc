@@ -81,7 +81,7 @@ Result<QueryEngine::PhysicalPrep> QueryEngine::PreparePhysical(
   prep.planner = std::make_unique<PhysicalPlanner>(
       &plan, prep.analysis, prep.use_morsel ? max_workers : 1,
       modeljoin_state_factory_, modeljoin_operator_factory_, profile,
-      opts.fused_pipeline, opts.shared_models, opts.inference);
+      opts.shared_models, opts.inference);
   INDBML_RETURN_NOT_OK(prep.planner->Prepare(build_pool));
   if (prep.use_morsel && validation::Enabled()) {
     INDBML_RETURN_NOT_OK(ValidateMorselSafety(plan, prep.analysis));

@@ -35,11 +35,6 @@ class QueryEngine {
     int worker_threads = 0;
     /// Rows per morsel handed out by the work-stealing scheduler.
     int64_t morsel_rows = kDefaultMorselRows;
-    /// Fuse [Project][Filter*]Scan chains into one operator that computes
-    /// the survivor mask with the vectorized compare kernels and emits one
-    /// selection vector over table storage (default); false = discrete
-    /// Scan/Filter/Project operators (fusion ablation).
-    bool fused_pipeline = true;
     /// Resolve ModelJoin models through the process-wide
     /// SharedModelRegistry: the first query over a (model, device) pair
     /// builds it once, later and concurrent queries block-share the built

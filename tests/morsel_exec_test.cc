@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "benchlib/workloads.h"
 #include "common/config.h"
-#include "common/metrics.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -405,12 +405,12 @@ TEST(MorselSafetyValidationTest, AcceptsParallelSafeRejectsSerialOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused scan→filter→project pipeline (exec/fused_scan.h)
+// [Project(column refs)] [Filter]* Scan chains built as one TableScanOperator
 
-/// Queries that exercise the fusable chain shapes: pushed predicates only,
-/// residual float/int conditions, multi-conjunct filters, pure-column
-/// projects, and expression projects (which keep the discrete operators but
-/// may still fuse the scan+filter below them).
+/// Queries that exercise the chain shapes: pushed predicates only, residual
+/// float/int conditions, multi-conjunct filters, pure-column projects, and
+/// expression projects (which keep the discrete ProjectOperator over a scan
+/// that absorbed the filter below them).
 const char* const kFusionQueries[] = {
     "SELECT f.id, f.a, f.b FROM fact f WHERE f.a >= 0.0",
     "SELECT f.id FROM fact f WHERE f.k = 2 AND f.a >= 0.0",
@@ -420,52 +420,106 @@ const char* const kFusionQueries[] = {
     "SELECT f.id AS g, SUM(f.a) AS s FROM fact f WHERE f.b >= -5.0 GROUP BY f.id",
 };
 
-/// Fused and unfused pipelines must produce row-for-row bit-identical
-/// results, serially and morsel-driven, and the fused engine must actually
-/// build FusedTableScanOperator instances (observed via the
-/// "exec.fused_scans" metrics counter).
-TEST_F(MorselDeterminismTest, FusedPipelineBitIdenticalToUnfused) {
-  sql::QueryEngine::Options unfused;
-  unfused.worker_threads = 1;
-  unfused.fused_pipeline = false;
-  sql::QueryEngine unfused_engine(unfused);
-  ASSERT_OK(unfused_engine.catalog()->CreateTable(fact_));
-
-  metrics::Counter* fused_scans =
-      metrics::Registry::Global().counter("exec.fused_scans");
-  for (const char* query : kFusionQueries) {
-    SCOPED_TRACE(query);
-    int64_t before = fused_scans->value();
-    ASSERT_OK_AND_ASSIGN(auto unfused_result, unfused_engine.ExecuteQuery(query));
-    EXPECT_EQ(fused_scans->value(), before)
-        << "fused_pipeline=false must not build fused scans";
-    // serial_ and morsel_ run with the default fused_pipeline=true.
-    ASSERT_OK_AND_ASSIGN(auto fused_result, serial_->ExecuteQuery(query));
-    ExpectRowIdentical(fused_result, unfused_result);
-    ASSERT_OK_AND_ASSIGN(auto morsel_result, morsel_->ExecuteQuery(query));
-    ExpectRowIdentical(morsel_result, unfused_result);
-  }
-  // At least the predicate-bearing queries fused on the default engines.
-  EXPECT_GT(fused_scans->value(), 0);
+TEST_F(MorselDeterminismTest, ScanChainsRowIdenticalToSerial) {
+  for (const char* query : kFusionQueries) ExpectDeterministic(query);
 }
 
-/// Division in a filter condition can fault on rows that would never reach
-/// it in the discrete pipeline, so such chains must not fuse — and must
-/// still compute the same result through the discrete operators. The
-/// condition is the *only* predicate so nothing is pushed into the scan
-/// (a pushed conjunct would legitimately fuse as a predicate-only scan).
-TEST_F(MorselDeterminismTest, DivisionFilterStaysUnfusedAndCorrect) {
-  const std::string query =
-      "SELECT f.id FROM fact f WHERE 10.0 / (f.a + 11.0) < 8.0";
-  metrics::Counter* fused_scans =
-      metrics::Registry::Global().counter("exec.fused_scans");
-  int64_t before = fused_scans->value();
-  ASSERT_OK_AND_ASSIGN(auto serial_result, serial_->ExecuteQuery(query));
-  EXPECT_EQ(fused_scans->value(), before)
-      << "conditions containing division must not fuse";
-  ASSERT_GT(serial_result.num_rows, 0);
-  ASSERT_OK_AND_ASSIGN(auto morsel_result, morsel_->ExecuteQuery(query));
-  ExpectRowIdentical(morsel_result, serial_result);
+/// Division and modulo can fail per row, and the scan evaluates absorbed
+/// conditions over every window row. So such a condition must stay in a
+/// discrete Filter above the scan, which only sees the rows its pushed
+/// `k <> 0` lets through; absorbed, the query fails with division by zero.
+TEST_F(MorselDeterminismTest, DivisionFilterStaysAboveTheScan) {
+  const storage::Column& k = fact_->column(1);
+  for (const std::string op : {"/", "%"}) {
+    SCOPED_TRACE(op);
+    const std::string cond = op == "/" ? " > 2" : " > 0";
+    const std::string query =
+        "SELECT t.id FROM fact t WHERE t.k <> 0 AND 10 " + op + " t.k" + cond;
+    ASSERT_OK_AND_ASSIGN(std::string plan, serial_->Explain(query));
+    const size_t filter = plan.find("Filter ((10 " + op + " k)" + cond + ")");
+    const size_t scan = plan.find("Scan fact");
+    ASSERT_NE(filter, std::string::npos) << plan;
+    ASSERT_NE(scan, std::string::npos) << plan;
+    EXPECT_LT(filter, scan) << plan;
+    EXPECT_NE(plan.find("{col1 <> 0}", scan), std::string::npos) << plan;
+
+    int64_t expected = 0;
+    for (int64_t r = 0; r < fact_->num_rows(); ++r) {
+      const int64_t v = k.GetInt64(r);
+      if (v != 0 && (op == "/" ? 10 / v > 2 : 10 % v > 0)) ++expected;
+    }
+    ASSERT_GT(expected, 0);
+    ASSERT_OK_AND_ASSIGN(auto serial_result, serial_->ExecuteQuery(query));
+    EXPECT_EQ(serial_result.num_rows, expected);
+    ASSERT_OK_AND_ASSIGN(auto morsel_result, morsel_->ExecuteQuery(query));
+    ExpectRowIdentical(morsel_result, serial_result);
+  }
+}
+
+/// EXPLAIN ANALYZE profiles the plan that runs: a [Project] [Filter] Scan
+/// chain is one scan operator, its profile still has one node per logical
+/// node, and the absorbed Filter and Scan nodes report the rows the
+/// discrete operators would emit but no time (the chain root's
+/// ProfiledOperator times the whole chain).
+TEST_F(MorselDeterminismTest, ExplainAnalyzeProfilesTheAbsorbedChain) {
+  int64_t k_rows = 0;
+  int64_t k_and_a_rows = 0;
+  for (int64_t r = 0; r < fact_->num_rows(); ++r) {
+    if (fact_->column(1).GetInt64(r) == 0) continue;
+    ++k_rows;
+    if (fact_->column(2).GetFloat(r) * 2.0f > 0.0f) ++k_and_a_rows;
+  }
+  struct Case {
+    std::string query;
+    std::vector<std::string> kinds;  ///< plan nodes, pre-order
+    std::vector<int64_t> rows;       ///< hand-computed rows per node
+  };
+  const Case cases[] = {
+      {"SELECT f.id FROM fact f WHERE f.k <> 0 AND f.a * 2.0 > 0.0",
+       {"Project", "Filter", "Scan"},
+       {k_and_a_rows, k_and_a_rows, k_rows}},
+      {"SELECT f.a, f.id FROM fact f", {"Project", "Scan"}, {20000, 20000}},
+  };
+  for (int workers : {1, 4}) {
+    sql::QueryEngine::Options options;
+    options.worker_threads = workers;
+    options.morsel_rows = 512;
+    sql::QueryEngine engine(options);
+    ASSERT_OK(engine.catalog()->CreateTable(fact_));
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message() << c.query << " workers=" << workers);
+      ASSERT_OK_AND_ASSIGN(auto plan, engine.PlanQuery(c.query));
+      std::vector<std::string> labels;
+      std::function<void(const sql::LogicalOp&)> walk = [&](const sql::LogicalOp& op) {
+        labels.push_back(op.NodeString());
+        for (const auto& child : op.children) walk(*child);
+      };
+      walk(*plan);
+      ASSERT_EQ(labels.size(), c.kinds.size());
+      for (size_t i = 0; i < labels.size(); ++i) {
+        ASSERT_EQ(labels[i].rfind(c.kinds[i], 0), 0u) << labels[i];
+      }
+
+      exec::QueryProfile profile;
+      ASSERT_OK_AND_ASSIGN(auto profiled, engine.ExecutePlan(*plan, &profile));
+      EXPECT_EQ(profile.num_workers(), workers);
+      ASSERT_EQ(profile.num_nodes(), static_cast<int>(labels.size()));
+      for (size_t i = 0; i < labels.size(); ++i) {
+        const exec::OperatorStats stats = profile.Aggregate(static_cast<int>(i));
+        SCOPED_TRACE(labels[i]);
+        EXPECT_EQ(profile.node_label(static_cast<int>(i)), labels[i]);
+        EXPECT_EQ(stats.rows, c.rows[i]);
+        if (i == 0) {
+          EXPECT_GT(stats.next_nanos, 0);  // the root times the whole chain
+        } else {
+          EXPECT_EQ(stats.next_nanos, 0);  // absorbed into the scan
+        }
+      }
+
+      ASSERT_OK_AND_ASSIGN(auto unprofiled, engine.ExecuteQuery(c.query));
+      ExpectRowIdentical(profiled, unprofiled);
+    }
+  }
 }
 
 /// SIMD off at runtime (the scalar ablation) must not change a single bit of

@@ -179,6 +179,36 @@ TEST_F(ServerTest, PlanCacheKeyedOnOptionsFingerprint) {
   EXPECT_EQ(srv->plan_cache()->size(), 2);
 }
 
+// Planning reads only the optimizer options, so sessions that differ only
+// in execution settings share one cached plan and still run it their way.
+TEST_F(ServerTest, PlanCacheSharedAcrossExecutionOnlyOptions) {
+  auto srv = MakeServer();
+  LoadIris(srv.get(), 2000);
+  DeployDense(srv.get(), 16, 3, "dense16");
+  const std::string query = DenseQuery("dense16");
+  ASSERT_OK_AND_ASSIGN(auto reference, srv->engine()->ExecuteQuery(query));
+
+  auto first = srv->CreateSession();
+  auto second = srv->CreateSession();
+  auto opts = second->options();
+  opts.morsel_rows = opts.morsel_rows / 4;
+  opts.worker_threads = opts.worker_threads + 3;
+  opts.shared_models = !opts.shared_models;
+  opts.inference.batch_window_us = opts.inference.batch_window_us == 0 ? 200 : 0;
+  opts.inference.max_batch_rows = opts.inference.max_batch_rows * 2;
+  opts.inference.result_cache = !opts.inference.result_cache;
+  second->set_options(opts);
+
+  ASSERT_OK_AND_ASSIGN(auto via_first, first->ExecuteQuery(query));
+  const int64_t misses0 = CounterValue("server.plan_cache_misses");
+  ASSERT_OK_AND_ASSIGN(auto via_second, second->ExecuteQuery(query));
+  EXPECT_EQ(CounterValue("server.plan_cache_misses"), misses0)
+      << "execution-only options must not re-plan";
+  EXPECT_EQ(srv->plan_cache()->size(), 1);
+  ExpectRowIdentical(via_first, reference);
+  ExpectRowIdentical(via_second, reference);
+}
+
 TEST_F(ServerTest, SharedModelBuiltExactlyOnceAcrossSessions) {
   auto srv = MakeServer();
   LoadIris(srv.get(), 2000);
@@ -433,7 +463,6 @@ TEST_F(ServerTest, SessionOptionSnapshotIsolatesRunningQueries) {
       auto handle, session->Submit("SELECT SUM(petal_width) AS s FROM fact"));
   // Flipping options mid-flight must not affect the submitted query.
   auto opts = session->options();
-  opts.fused_pipeline = false;
   opts.morsel_rows = 128;
   session->set_options(opts);
   ASSERT_OK_AND_ASSIGN(auto result, handle->Wait());

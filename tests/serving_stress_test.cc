@@ -111,7 +111,6 @@ TEST(ServingStressTest, MixedQueriesOptionChurnAndCancellation) {
       // unaffected; later ones pick the new values up.
       auto opts = session->options();
       opts.morsel_rows = (rep % 2 == 0) ? 256 : 1024;
-      opts.fused_pipeline = rep % 3 != 0;
       session->set_options(opts);
 
       const std::string& sql = queries[(client + rep) % queries.size()];

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "common/config.h"
 #include "common/memory_tracker.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "exec/aggregate.h"
 #include "exec/basic_operators.h"
 #include "exec/groupjoin.h"
@@ -816,6 +819,219 @@ TEST(AggregateTest, EveryFunctionAndTypeMatchesReference) {
       make_groups(), {"g", "h", "k"}, make_aggs(), 3);
   ExpectSameRows(sorted(RunRows(&by_all)), sorted(hash_rows));
   EXPECT_EQ(by_all.peak_group_count(), 1);
+}
+
+// ---------- the one scan vs the discrete operators ----------
+
+/// The double-domain rule of a pushed ScanPredicate, written out row by row.
+bool ScalarCompare(double lhs, exec::BinaryOp op, double rhs) {
+  switch (op) {
+    case exec::BinaryOp::kEq:
+      return lhs == rhs;
+    case exec::BinaryOp::kNe:
+      return lhs != rhs;
+    case exec::BinaryOp::kLt:
+      return lhs < rhs;
+    case exec::BinaryOp::kLe:
+      return lhs <= rhs;
+    case exec::BinaryOp::kGt:
+      return lhs > rhs;
+    case exec::BinaryOp::kGe:
+      return lhs >= rhs;
+    default:
+      return true;
+  }
+}
+
+bool PushedPasses(const storage::Table& t, const std::vector<exec::ScanPredicate>& preds,
+                  int64_t r) {
+  for (const exec::ScanPredicate& p : preds) {
+    const storage::Column& col = t.column(p.column);
+    double v = 0;
+    switch (col.type()) {
+      case DataType::kInt64:
+        v = static_cast<double>(col.GetInt64(r));
+        break;
+      case DataType::kFloat:
+        v = col.GetFloat(r);
+        break;
+      case DataType::kBool:
+        v = col.GetBool(r) ? 1 : 0;
+        break;
+    }
+    if (!ScalarCompare(v, p.op, p.value.AsDouble())) return false;
+  }
+  return true;
+}
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+/// (id BIGINT = row number, i BIGINT, f FLOAT, b BOOL) over three full
+/// zone-map blocks and a partial one. i and f mix random values with the
+/// edge cases of the predicate rule: integers around 2^53, both zeros, NaN,
+/// floats next to 0.1f and the floats on either side of 2^24 + 1.
+storage::TablePtr MakeScanTable(uint64_t seed) {
+  const int64_t ints[] = {0, 1, 2, 3, -2, kTwo53 - 1, kTwo53, kTwo53 + 1, kTwo53 + 2};
+  const float floats[] = {0.0f,
+                          -0.0f,
+                          0.1f,
+                          std::nextafter(0.1f, 1.0f),
+                          std::nextafter(0.1f, 0.0f),
+                          2.5f,
+                          -3.0f,
+                          16777216.0f,
+                          16777218.0f,
+                          std::numeric_limits<float>::quiet_NaN()};
+  Random rng(seed);
+  auto t = std::make_shared<storage::Table>(
+      "t", std::vector<storage::Field>{{"id", DataType::kInt64},
+                                       {"i", DataType::kInt64},
+                                       {"f", DataType::kFloat},
+                                       {"b", DataType::kBool}});
+  const int64_t rows = 3 * t->rows_per_block() + 500;
+  for (int64_t r = 0; r < rows; ++r) {
+    const bool edge = rng.NextUint64(2) == 0;
+    const int64_t i = edge ? ints[rng.NextUint64(9)]
+                           : static_cast<int64_t>(rng.NextUint64(200)) - 100;
+    const float f = edge ? floats[rng.NextUint64(10)] : rng.NextFloat(-8, 8);
+    INDBML_CHECK(t->AppendRow({I(r), I(i), F(f), testutil::B(rng.NextUint64(2) == 0)}).ok());
+  }
+  t->Finalize();
+  return t;
+}
+
+/// Two residual conditions over scan positions (i, f): i < 50, f >= -3.
+std::vector<exec::ExprPtr> ScanResiduals() {
+  std::vector<exec::ExprPtr> residuals;
+  residuals.push_back(exec::MakeBinary(exec::BinaryOp::kLt,
+                                       exec::MakeColumnRef(1, DataType::kInt64),
+                                       exec::MakeConstant(Value::Int64(50))));
+  residuals.push_back(exec::MakeBinary(exec::BinaryOp::kGe,
+                                       exec::MakeColumnRef(2, DataType::kFloat),
+                                       exec::MakeConstant(Value::Float(-3.0f))));
+  return residuals;
+}
+
+/// ProjectOperator(FilterOperator*(scan without predicates)) emitting
+/// `projection` then id: the discrete chain the one scan replaces, with
+/// pushed predicates left to PushedPasses.
+exec::OperatorPtr DiscreteScanChain(storage::TablePtr t, bool morsel_bound,
+                                    const std::vector<exec::ExprPtr>& residuals,
+                                    const std::vector<int>& projection) {
+  const std::vector<int> all = {0, 1, 2, 3};
+  exec::OperatorPtr op =
+      morsel_bound
+          ? std::make_unique<exec::TableScanOperator>(exec::TableScanOperator::MorselBound{},
+                                                      t, all, std::vector<exec::ScanPredicate>{})
+          : std::make_unique<exec::TableScanOperator>(
+                t, storage::PartitionRange{0, t->num_rows()}, all,
+                std::vector<exec::ScanPredicate>{});
+  for (const auto& cond : residuals) {
+    op = std::make_unique<exec::FilterOperator>(std::move(op), exec::CloneExpr(*cond));
+  }
+  std::vector<exec::ExprPtr> exprs;
+  std::vector<std::string> names;
+  for (int p : projection) {
+    exprs.push_back(exec::MakeColumnRef(p, t->fields()[static_cast<size_t>(p)].type));
+    names.push_back(t->fields()[static_cast<size_t>(p)].name);
+  }
+  exprs.push_back(exec::MakeColumnRef(0, DataType::kInt64));
+  names.push_back("id");
+  return std::make_unique<exec::ProjectOperator>(std::move(op), std::move(exprs),
+                                                 std::move(names));
+}
+
+/// The discrete chain's rows that pass the pushed predicates, id dropped.
+std::vector<Row> ExpectedScanRows(const storage::Table& t, std::vector<Row> chain_rows,
+                                  const std::vector<exec::ScanPredicate>& preds) {
+  std::vector<Row> expected;
+  for (Row& row : chain_rows) {
+    const int64_t id = row.back().i;
+    row.pop_back();
+    if (PushedPasses(t, preds, id)) expected.push_back(std::move(row));
+  }
+  return expected;
+}
+
+TEST(ScanTest, OneScanMatchesDiscreteChainAndScalarPredicateRule) {
+  auto t = MakeScanTable(41);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Each literal is tried with all six compare ops. A Value literal is a
+  // float32 or an int64, so the float-bound normalization is exercised by
+  // int64 literals over the float column (2^24 + 1 is not a float).
+  const std::vector<std::pair<int, Value>> literals = {
+      {2, Value::Float(0.1f)},      {2, Value::Int64(16777217)},
+      {2, Value::Float(nan)},       {2, Value::Float(-0.0f)},
+      {2, Value::Float(0.0f)},      {1, Value::Float(2.5f)},
+      {1, Value::Int64(kTwo53 + 1)}, {1, Value::Float(nan)},
+      {1, Value::Int64(-2)},        {3, Value::Int64(1)},
+      {3, Value::Float(0.5f)},      {0, Value::Int64(2 * t->rows_per_block() + 7)},
+  };
+  std::vector<std::vector<exec::ScanPredicate>> cases = {{}};
+  for (const auto& [column, value] : literals) {
+    for (auto op : {exec::BinaryOp::kEq, exec::BinaryOp::kNe, exec::BinaryOp::kLt,
+                    exec::BinaryOp::kLe, exec::BinaryOp::kGt, exec::BinaryOp::kGe}) {
+      exec::ScanPredicate p;
+      p.column = column;
+      p.op = op;
+      p.value = value;
+      cases.push_back({p});
+    }
+  }
+  // Two predicates on different columns, one of them pruning blocks.
+  cases.push_back({cases[cases.size() - 1][0], cases[1][0]});
+
+  const std::vector<std::pair<int64_t, int64_t>> morsels = {
+      {0, 100}, {100, 5000}, {4096, 8192}, {8100, t->num_rows()}, {300, 300}};
+  int64_t pruned = 0;
+  for (bool simd_on : {true, false}) {
+    simd::ScopedEnable simd_scope(simd_on);
+    for (bool with_residuals : {false, true}) {
+      const std::vector<exec::ExprPtr> residuals =
+          with_residuals ? ScanResiduals() : std::vector<exec::ExprPtr>{};
+      const std::vector<int> projection =
+          with_residuals ? std::vector<int>{3, 2, 1} : std::vector<int>{0, 1, 2, 3};
+      for (const auto& preds : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "simd=" << simd_on << " residuals=" << with_residuals
+                     << " preds=" << preds.size() << " column="
+                     << (preds.empty() ? -1 : preds[0].column) << " op="
+                     << (preds.empty() ? -1 : static_cast<int>(preds[0].op)) << " value="
+                     << (preds.empty() ? std::string() : preds[0].value.ToString()));
+        auto clone = [&] {
+          std::vector<exec::ExprPtr> out;
+          for (const auto& r : residuals) out.push_back(exec::CloneExpr(*r));
+          return out;
+        };
+        // Whole table.
+        exec::TableScanOperator scan(t, {0, t->num_rows()}, {0, 1, 2, 3}, preds, clone(),
+                                     with_residuals ? projection : std::vector<int>{});
+        auto chain = DiscreteScanChain(t, false, residuals, projection);
+        ExpectSameRows(RunRows(&scan), ExpectedScanRows(*t, RunRows(chain.get()), preds));
+        pruned += scan.stats().blocks_pruned;
+
+        // Morsel-bound, rewound over several ranges.
+        exec::TableScanOperator morsel(exec::TableScanOperator::MorselBound{}, t,
+                                       {0, 1, 2, 3}, preds, clone(),
+                                       with_residuals ? projection : std::vector<int>{});
+        auto morsel_chain = DiscreteScanChain(t, true, residuals, projection);
+        ExecContext ctx;
+        ASSERT_OK(morsel.Open(&ctx));
+        ASSERT_OK(morsel_chain->Open(&ctx));
+        for (auto [begin, end] : morsels) {
+          ctx.morsel_begin = begin;
+          ctx.morsel_end = end;
+          ASSERT_OK(morsel.Rewind(&ctx));
+          ASSERT_OK(morsel_chain->Rewind(&ctx));
+          ExpectSameRows(DrainRows(&morsel, &ctx),
+                         ExpectedScanRows(*t, DrainRows(morsel_chain.get(), &ctx), preds));
+        }
+        morsel.Close(&ctx);
+        morsel_chain->Close(&ctx);
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0) << "the id predicates must prune zone-map blocks";
 }
 
 // ---------- groupjoin ----------
