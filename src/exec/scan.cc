@@ -82,6 +82,43 @@ bool IntPredicateIsExact(double v) {
 
 }  // namespace
 
+bool CanPruneBlock(const storage::Table& table,
+                   const std::vector<ScanPredicate>& predicates, int64_t block) {
+  for (const ScanPredicate& p : predicates) {
+    const storage::BlockStats& bs =
+        table.block_stats(p.column)[static_cast<size_t>(block)];
+    double lo = bs.min.AsDouble();
+    double hi = bs.max.AsDouble();
+    double v = p.value.AsDouble();
+    bool may_match = true;
+    switch (p.op) {
+      case BinaryOp::kEq:
+        may_match = lo <= v && v <= hi;
+        break;
+      case BinaryOp::kLt:
+        may_match = lo < v;
+        break;
+      case BinaryOp::kLe:
+        may_match = lo <= v;
+        break;
+      case BinaryOp::kGt:
+        may_match = hi > v;
+        break;
+      case BinaryOp::kGe:
+        may_match = hi >= v;
+        break;
+      case BinaryOp::kNe:
+        may_match = bs.has_nan || !(lo == v && hi == v);  // NaN != v holds
+        break;
+      default:
+        may_match = true;
+        break;
+    }
+    if (!may_match) return true;
+  }
+  return false;
+}
+
 TableScanOperator::TableScanOperator(storage::TablePtr table,
                                      storage::PartitionRange range,
                                      std::vector<int> columns,
@@ -146,42 +183,6 @@ Status TableScanOperator::Rewind(ExecContext* ctx) {
   }
   cursor_ = range_.begin;
   return Status::OK();
-}
-
-bool TableScanOperator::CanPruneBlock(int64_t block_index) const {
-  for (const ScanPredicate& p : predicates_) {
-    const auto& stats = table_->block_stats(p.column);
-    const storage::BlockStats& bs = stats[static_cast<size_t>(block_index)];
-    double lo = bs.min.AsDouble();
-    double hi = bs.max.AsDouble();
-    double v = p.value.AsDouble();
-    bool may_match = true;
-    switch (p.op) {
-      case BinaryOp::kEq:
-        may_match = lo <= v && v <= hi;
-        break;
-      case BinaryOp::kLt:
-        may_match = lo < v;
-        break;
-      case BinaryOp::kLe:
-        may_match = lo <= v;
-        break;
-      case BinaryOp::kGt:
-        may_match = hi > v;
-        break;
-      case BinaryOp::kGe:
-        may_match = hi >= v;
-        break;
-      case BinaryOp::kNe:
-        may_match = !(lo == v && hi == v);
-        break;
-      default:
-        may_match = true;
-        break;
-    }
-    if (!may_match) return true;
-  }
-  return false;
 }
 
 void TableScanOperator::ApplyPredicate(const ScanPredicate& p, int64_t begin,
@@ -264,7 +265,7 @@ Status TableScanOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
       int64_t block_end = std::min((block + 1) * rows_per_block, range_.end);
       if (cursor_ % rows_per_block == 0 && block_end <= range_.end) {
         ++stats_.blocks_total;
-        if (CanPruneBlock(block)) {
+        if (CanPruneBlock(*table_, predicates_, block)) {
           ++stats_.blocks_pruned;
           cursor_ = block_end;
           continue;

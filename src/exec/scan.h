@@ -21,6 +21,13 @@ struct ScanPredicate {
   Value value;
 };
 
+/// True when the zone maps prove that no row of block `block` of `table`
+/// satisfies every predicate in `predicates` (paper §4.4's MinMax pruning).
+/// The one pruning rule of the engine: the scan skips such blocks, and the
+/// physical planner never dispatches a morsel whose blocks all qualify.
+bool CanPruneBlock(const storage::Table& table,
+                   const std::vector<ScanPredicate>& predicates, int64_t block);
+
 /// Statistics a scan reports after Close (observability + pruning tests).
 struct ScanStats {
   int64_t blocks_total = 0;
@@ -90,8 +97,6 @@ class TableScanOperator final : public Operator {
   const ScanStats& stats() const { return stats_; }
 
  private:
-  /// True if block `block_index` can be skipped entirely.
-  bool CanPruneBlock(int64_t block_index) const;
   /// ANDs predicate `p` over window rows [begin, begin + rows) into mask_.
   void ApplyPredicate(const ScanPredicate& p, int64_t begin, int64_t rows);
   /// ANDs every residual over window rows [begin, begin + rows) into mask_.

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/stopwatch.h"
+#include "common/trace.h"
 #include "inference/cache.h"
 
 namespace indbml::inference {
@@ -69,10 +70,17 @@ Status InferenceBatcher::Run(const std::shared_ptr<SharedModel>& model,
   std::vector<float> miss_out;
   std::vector<int64_t> miss_idx;
   if (opts.use_cache) {
-    hits.assign(static_cast<size_t>(n), 0);
-    hit_count = InferenceCache::Global().Lookup(model->model_id(), in, n, d, o,
-                                                out, &hits);
-    if (stats != nullptr) stats->cache_hits += hit_count;
+    {
+      trace::Span span("inference.cache_lookup");
+      Stopwatch lookup_watch;
+      hits.assign(static_cast<size_t>(n), 0);
+      hit_count = InferenceCache::Global().Lookup(model->model_id(), in, n, d, o,
+                                                  out, &hits);
+      if (stats != nullptr) {
+        stats->cache_hits += hit_count;
+        stats->lookup_nanos += lookup_watch.ElapsedNanos();
+      }
+    }
     if (hit_count == n) return Status::OK();  // the NN is skipped entirely
     if (hit_count > 0) {
       // Compact the miss rows into a dense matrix so the coalesced launch
@@ -95,12 +103,18 @@ Status InferenceBatcher::Run(const std::shared_ptr<SharedModel>& model,
     }
   }
 
-  INDBML_RETURN_NOT_OK(
-      Submit(model, run_in, run_n, run_out, opts, interrupt, stats));
+  {
+    trace::Span span("inference.run");
+    INDBML_RETURN_NOT_OK(
+        Submit(model, run_in, run_n, run_out, opts, interrupt, stats));
+  }
 
   if (opts.use_cache) {
-    InferenceCache::Global().Insert(model->model_id(), run_in, run_n, d, o,
-                                    run_out);
+    {
+      trace::Span span("inference.cache_insert");
+      InferenceCache::Global().Insert(model->model_id(), run_in, run_n, d, o,
+                                      run_out);
+    }
     if (hit_count > 0) {
       // Scatter the compacted miss results into their original columns.
       const int64_t mn = run_n;

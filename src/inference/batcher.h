@@ -36,6 +36,7 @@ struct InferenceOptions {
 struct InferenceCallStats {
   int64_t wait_micros = 0;  ///< time blocked in the coalescing wait
   int64_t cache_hits = 0;   ///< rows answered from the cache
+  int64_t lookup_nanos = 0; ///< time spent in the cache lookup
   int64_t batch_rows = 0;   ///< rows in the coalesced launch this call rode
 };
 

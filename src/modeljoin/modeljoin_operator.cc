@@ -119,13 +119,19 @@ Status ModelJoinOperator::Next(exec::ExecContext* ctx, exec::DataChunk* out,
   if (ctx->active_stats != nullptr) {
     ctx->active_stats->AddPhase("convert", convert_nanos);
     // Split the inference time so EXPLAIN ANALYZE shows how much of it was
-    // spent waiting for batch partners vs. running the NN.
+    // spent in the result cache and waiting for batch partners vs. running
+    // the NN.
+    const int64_t lookup_nanos = std::min(infer_nanos, call_stats.lookup_nanos);
     const int64_t wait_nanos =
-        std::min(infer_nanos, call_stats.wait_micros * 1000);
+        std::min(infer_nanos - lookup_nanos, call_stats.wait_micros * 1000);
+    if (lookup_nanos > 0) {
+      ctx->active_stats->AddPhase("cache_lookup", lookup_nanos);
+    }
     if (wait_nanos > 0) {
       ctx->active_stats->AddPhase("batch_wait", wait_nanos);
     }
-    ctx->active_stats->AddPhase("inference", infer_nanos - wait_nanos);
+    ctx->active_stats->AddPhase("inference",
+                                infer_nanos - lookup_nanos - wait_nanos);
   }
   return Status::OK();
 }

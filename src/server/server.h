@@ -55,8 +55,9 @@ class QueryServer {
     /// Cached prepared statements; 0 disables the plan cache.
     int64_t plan_cache_capacity = 64;
     bool enable_plan_cache = true;
-    /// LRU bound of the process-wide inference result cache (keys +
-    /// values). 0 disables memoization even if sessions request it.
+    /// Bound on the bytes the process-wide inference result cache really
+    /// allocates (its per-model slot tables, headers included). 0 disables
+    /// memoization even if sessions request it.
     int64_t inference_cache_mb = 32;
   };
 

@@ -4,7 +4,6 @@
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "exec/morsel.h"
 #include "server/server.h"
 
 namespace indbml::server {
@@ -76,8 +75,7 @@ Result<std::shared_ptr<QueryHandle>> Session::SubmitPlan(
   spec.catalog = engine->catalog();
   spec.priority = priority;
   if (prep.use_morsel) {
-    spec.morsels =
-        exec::MakeMorsels(*prep.analysis.partitioned_table, opts.morsel_rows);
+    spec.morsels = planner->Morsels(opts.morsel_rows);
     spec.num_instances = planner->num_workers();
   } else {
     spec.serial = true;

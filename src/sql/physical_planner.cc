@@ -1,6 +1,7 @@
 #include "sql/physical_planner.h"
 
 #include <unordered_map>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
@@ -10,6 +11,7 @@
 #include "exec/basic_operators.h"
 #include "exec/groupjoin.h"
 #include "exec/join.h"
+#include "exec/morsel.h"
 #include "exec/scan.h"
 #include "exec/validate.h"
 
@@ -164,6 +166,47 @@ Result<OperatorPtr> PhysicalPlanner::Build(const LogicalOp& node, int worker) {
 
 bool PhysicalPlanner::IsMorselBound(const LogicalOp& scan) const {
   return num_workers_ > 1 && scan.table.get() == analysis_.partitioned_table;
+}
+
+std::vector<storage::PartitionRange> PhysicalPlanner::Morsels(
+    int64_t morsel_rows) const {
+  static metrics::Counter* const scheduled =
+      metrics::Registry::Global().counter("exec.morsels");
+  static metrics::Counter* const pruned =
+      metrics::Registry::Global().counter("exec.morsels_pruned");
+  const storage::Table& table = *analysis_.partitioned_table;
+  std::vector<storage::PartitionRange> morsels = exec::MakeMorsels(table, morsel_rows);
+
+  // The pushed predicates of every morsel-bound scan, or none at all when
+  // one of them has no predicate (it reads every morsel).
+  std::vector<const std::vector<exec::ScanPredicate>*> scans;
+  bool prunable = true;
+  std::vector<const LogicalOp*> stack = {plan_};
+  while (!stack.empty() && prunable) {
+    const LogicalOp* node = stack.back();
+    stack.pop_back();
+    if (node->kind == LogicalKind::kScan && IsMorselBound(*node)) {
+      prunable = !node->pushed.empty();
+      scans.push_back(&node->pushed);
+    }
+    for (const auto& child : node->children) stack.push_back(child.get());
+  }
+
+  const size_t made = morsels.size();
+  if (prunable && !scans.empty()) {
+    const int64_t rows_per_block = table.rows_per_block();
+    std::erase_if(morsels, [&](const storage::PartitionRange& m) {
+      for (const auto* predicates : scans) {
+        for (int64_t b = m.begin / rows_per_block; b * rows_per_block < m.end; ++b) {
+          if (!exec::CanPruneBlock(table, *predicates, b)) return false;
+        }
+      }
+      return true;  // every block of every scan is excluded
+    });
+  }
+  scheduled->Increment(static_cast<int64_t>(morsels.size()));
+  pruned->Increment(static_cast<int64_t>(made - morsels.size()));
+  return morsels;
 }
 
 Result<OperatorPtr> PhysicalPlanner::TryBuildScan(const LogicalOp& node) {

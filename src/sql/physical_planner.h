@@ -96,6 +96,16 @@ class PhysicalPlanner {
   /// Effective worker count (1 if the plan is not parallel-safe).
   int num_workers() const { return num_workers_; }
 
+  /// The morsels the query schedules: MakeMorsels over the partitioned
+  /// table, minus every morsel whose blocks the zone maps exclude for every
+  /// morsel-bound scan (exec::CanPruneBlock). A dropped morsel could only
+  /// produce zero rows, so the kept morsels (same boundaries, same order)
+  /// yield the unpruned result bit for bit. A morsel-bound scan without
+  /// pushed predicates reaches every morsel: the list is returned unfiltered
+  /// without consulting a zone map. Counts exec.morsels (scheduled) and
+  /// exec.morsels_pruned. Only meaningful for a plan of more than one worker.
+  std::vector<storage::PartitionRange> Morsels(int64_t morsel_rows) const;
+
   /// Builds the operator tree for one worker. Thread-compatible: called
   /// concurrently for distinct workers after Prepare() succeeded.
   Result<exec::OperatorPtr> Instantiate(int worker);

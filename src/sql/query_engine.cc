@@ -117,8 +117,7 @@ Result<exec::QueryResult> QueryEngine::ExecutePlan(const LogicalOp& plan,
         PreparePhysical(plan, opts, pipeline_workers, pool.get(), profile));
     PhysicalPlanner& planner = *prep.planner;
     if (prep.use_morsel) {
-      exec::MorselSource source(
-          exec::MakeMorsels(*prep.analysis.partitioned_table, opts.morsel_rows));
+      exec::MorselSource source(planner.Morsels(opts.morsel_rows));
       exec::WorkerPlanFactory factory = [&](int worker) {
         return planner.Instantiate(worker);
       };

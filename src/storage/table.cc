@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -118,10 +119,17 @@ void Table::Finalize() {
       BlockStats bs;
       bs.min = col.GetValue(begin);
       bs.max = bs.min;
-      for (int64_t r = begin + 1; r < end; ++r) {
+      bool bounded = false;
+      for (int64_t r = begin; r < end; ++r) {
         Value v = col.GetValue(r);
-        if (v.AsDouble() < bs.min.AsDouble()) bs.min = v;
-        if (v.AsDouble() > bs.max.AsDouble()) bs.max = v;
+        const double x = v.AsDouble();
+        if (std::isnan(x)) {
+          bs.has_nan = true;
+          continue;
+        }
+        if (!bounded || x < bs.min.AsDouble()) bs.min = v;
+        if (!bounded || x > bs.max.AsDouble()) bs.max = v;
+        bounded = true;
       }
       stats_[ci].push_back(bs);
     }

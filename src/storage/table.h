@@ -19,10 +19,13 @@ namespace indbml::storage {
 
 /// MinMax statistics of one column within one storage block — the paper's
 /// Small Materialized Aggregates / zone maps (§4.4), used by scans for
-/// block pruning of model tables.
+/// block pruning of model tables. NaN cells are left out of min and max
+/// (they would make every comparison with the bounds false) and flagged
+/// instead; a block of NaN cells only keeps NaN bounds.
 struct BlockStats {
   Value min;
   Value max;
+  bool has_nan = false;
 };
 
 /// Contiguous range of rows of a table (a scan range or a scheduling

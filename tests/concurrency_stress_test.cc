@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "exec/morsel.h"
+#include "inference/cache.h"
 #include "inference/shared_model.h"
 #include "mltosql/mltosql.h"
 #include "modeljoin/register.h"
@@ -208,6 +210,87 @@ TEST(MorselSourceStressTest, AbortStopsHandouts) {
   EXPECT_LT(claimed.load(), 100000);
   exec::Morsel extra;
   EXPECT_FALSE(source.Next(&extra));
+}
+
+// Threads mix Lookup, Insert, InvalidateModel and set_capacity_bytes on one
+// InferenceCache. Every cached value is a function of its (model, key), so
+// each hit is verified bit for bit: a torn slot, a misread geometry after a
+// concurrent resize, or a stale table would all surface as a wrong value.
+TEST(InferenceCacheStressTest, MixedOperationsServeOnlyTrueValues) {
+  inference::InferenceCache cache;
+  cache.set_capacity_bytes(64 << 10);
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 1500;
+  constexpr int64_t kBatch = 16;
+  // Model m has m + 1 features and 1 + m % 2 outputs.
+  auto value = [](int64_t model, int64_t key, int64_t p) {
+    return static_cast<float>(key * 3 + model * 1000 + p);
+  };
+  auto fill = [](int64_t model, int64_t first, int64_t d, std::vector<float>* in) {
+    in->assign(static_cast<size_t>(d * kBatch), 0.0f);
+    for (int64_t j = 0; j < kBatch; ++j) {
+      const int64_t key = (first + j) % 512;
+      for (int64_t f = 0; f < d; ++f) {
+        // Feature 1 is -0.0 for odd keys and 0.0 for even ones: distinct keys.
+        const float v = f == 1 ? (key % 2 == 1 ? -0.0f : 0.0f)
+                               : static_cast<float>(key + f * model);
+        (*in)[static_cast<size_t>(f * kBatch + j)] = v;
+      }
+    }
+  };
+  std::atomic<int64_t> hits{0};
+  std::atomic<int64_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<float> in, out, values;
+      std::vector<char> hit;
+      uint64_t state = 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(t + 1);
+      auto next = [&state](uint64_t bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % bound;
+      };
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const auto model = static_cast<int64_t>(1 + next(3));
+        const int64_t d = model + 1;
+        const int64_t o = 1 + model % 2;
+        const auto first = static_cast<int64_t>(next(512));
+        const uint64_t op = next(100);
+        fill(model, first, d, &in);
+        if (op < 50) {
+          out.assign(static_cast<size_t>(o * kBatch), -1.0f);
+          hit.assign(static_cast<size_t>(kBatch), 0);
+          hits += cache.Lookup(model, in.data(), kBatch, d, o, out.data(), &hit);
+          for (int64_t j = 0; j < kBatch; ++j) {
+            if (hit[static_cast<size_t>(j)] == 0) continue;
+            for (int64_t p = 0; p < o; ++p) {
+              const float want = value(model, (first + j) % 512, p);
+              const float got = out[static_cast<size_t>(p * kBatch + j)];
+              if (std::memcmp(&want, &got, sizeof(float)) != 0) ++wrong;
+            }
+          }
+        } else if (op < 95) {
+          values.resize(static_cast<size_t>(o * kBatch));
+          for (int64_t j = 0; j < kBatch; ++j) {
+            for (int64_t p = 0; p < o; ++p) {
+              values[static_cast<size_t>(p * kBatch + j)] =
+                  value(model, (first + j) % 512, p);
+            }
+          }
+          cache.Insert(model, in.data(), kBatch, d, o, values.data());
+        } else if (op < 98) {
+          cache.InvalidateModel(model);
+        } else {
+          const int64_t capacities[] = {0, 8 << 10, 64 << 10, 256 << 10};
+          cache.set_capacity_bytes(capacities[next(4)]);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_LE(cache.GetStats().bytes, cache.capacity_bytes());
 }
 
 /// Concurrent ModelJoin model builds: several client threads each build a

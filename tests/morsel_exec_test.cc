@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "benchlib/workloads.h"
 #include "common/config.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -22,6 +25,8 @@
 #include "mltosql/mltosql.h"
 #include "modeljoin/register.h"
 #include "nn/model.h"
+#include "server/server.h"
+#include "sql/physical_planner.h"
 #include "sql/plan_validate.h"
 #include "sql/query_engine.h"
 #include "test_util.h"
@@ -381,6 +386,281 @@ TEST_F(ModelJoinMorselTest, InferenceWithAggregationRowIdenticalToSerial) {
   ASSERT_OK_AND_ASSIGN(auto morsel_result, morsel_->ExecuteQuery(query));
   ASSERT_EQ(serial_result.num_rows, 3000);
   ExpectRowIdentical(morsel_result, serial_result);
+}
+
+// ---------------------------------------------------------------------------
+// Morsel pruning: the planner schedules only the morsels the pushed
+// predicates can reach. There is no switch to turn pruning off, so the
+// references are the serial run (no morsels at all), a row set computed
+// here from the table data, and a brute-force zone-map check per block.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kPruneRows = 100'000;
+constexpr int64_t kPruneMorselRows = 8192;  // two blocks per morsel
+
+/// Sorted unique ids; `x` is unsorted, in [-1, 1) below id 40 000 and in
+/// [-0.5, 0.5) from there on, so `x > 0.6` reaches only the first blocks.
+storage::TablePtr PruningTable() {
+  auto table = std::make_shared<storage::Table>(
+      "fact", std::vector<storage::Field>{{"id", exec::DataType::kInt64},
+                                          {"x", exec::DataType::kFloat}});
+  Random rng(29);
+  for (int64_t i = 0; i < kPruneRows; ++i) {
+    const float scale = i < 40'000 ? 1.0f : 0.5f;
+    INDBML_CHECK(table
+                     ->AppendRow({storage::Value::Int64(i),
+                                  storage::Value::Float(scale * rng.NextFloat(-1, 1))})
+                     .ok());
+  }
+  table->Finalize();
+  table->SetUniqueIdColumn("id");
+  table->SetSortedBy({"id"});
+  return table;
+}
+
+/// The zone-map rule recomputed from the raw rows: true when no row of
+/// [begin, end) can satisfy `p` by the block's min and max.
+bool BlockExcludes(const storage::Table& table, const exec::ScanPredicate& p,
+                   int64_t begin, int64_t end) {
+  double lo = table.column(p.column).GetValue(begin).AsDouble();
+  double hi = lo;
+  for (int64_t r = begin + 1; r < end; ++r) {
+    const double v = table.column(p.column).GetValue(r).AsDouble();
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  const double v = p.value.AsDouble();
+  switch (p.op) {
+    case exec::BinaryOp::kEq:
+      return !(lo <= v && v <= hi);
+    case exec::BinaryOp::kLt:
+      return !(lo < v);
+    case exec::BinaryOp::kLe:
+      return !(lo <= v);
+    case exec::BinaryOp::kGt:
+      return !(hi > v);
+    case exec::BinaryOp::kGe:
+      return !(hi >= v);
+    case exec::BinaryOp::kNe:
+      return lo == v && hi == v;
+    default:
+      return false;
+  }
+}
+
+/// The pushed predicates of every scan of `table` in `plan`.
+void CollectScans(const sql::LogicalOp& plan, const storage::Table* table,
+                  std::vector<std::vector<exec::ScanPredicate>>* scans) {
+  if (plan.kind == sql::LogicalKind::kScan && plan.table.get() == table) {
+    scans->push_back(plan.pushed);
+  }
+  for (const auto& child : plan.children) CollectScans(*child, table, scans);
+}
+
+/// MakeMorsels minus the morsels whose every block the brute-force check
+/// excludes for every scan of the table.
+std::vector<storage::PartitionRange> ReachableMorsels(
+    const storage::Table& table, const std::vector<std::vector<exec::ScanPredicate>>& scans) {
+  std::vector<storage::PartitionRange> reachable;
+  const int64_t block_rows = table.rows_per_block();
+  for (const storage::PartitionRange& m : exec::MakeMorsels(table, kPruneMorselRows)) {
+    bool reached = false;
+    for (const auto& predicates : scans) {
+      for (int64_t b = m.begin / block_rows; b * block_rows < m.end; ++b) {
+        const int64_t end = std::min((b + 1) * block_rows, table.num_rows());
+        bool excluded = false;
+        for (const exec::ScanPredicate& p : predicates) {
+          excluded = excluded || BlockExcludes(table, p, b * block_rows, end);
+        }
+        reached = reached || !excluded;
+      }
+    }
+    if (reached) reachable.push_back(m);
+  }
+  return reachable;
+}
+
+class MorselPruningTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    fact_ = PruningTable();
+    sql::QueryEngine::Options serial;
+    serial.worker_threads = 1;
+    serial_ = std::make_unique<sql::QueryEngine>(serial);
+    sql::QueryEngine::Options parallel;
+    parallel.worker_threads = 4;
+    parallel.morsel_rows = kPruneMorselRows;
+    parallel_ = std::make_unique<sql::QueryEngine>(parallel);
+    server::QueryServer::Options served;
+    served.worker_threads = 4;
+    served.engine.morsel_rows = kPruneMorselRows;
+    server_ = std::make_unique<server::QueryServer>(served);
+    for (storage::Catalog* catalog :
+         {serial_->catalog(), parallel_->catalog(), server_->catalog()}) {
+      ASSERT_OK(catalog->CreateTable(fact_));
+    }
+  }
+
+  static int64_t Pruned() {
+    return metrics::Registry::Global().counter("exec.morsels_pruned")->value();
+  }
+
+  /// Runs `query` serially, on the engine at 4 workers and through a
+  /// Session; the parallel results must equal the serial one bit for bit
+  /// and in order, the serial one must hold exactly `ids` (with the
+  /// table's x), and both parallel paths must prune exactly the morsels
+  /// the brute-force check excludes. Returns that pruned count.
+  int64_t Check(const std::string& query, const std::vector<int64_t>& ids) {
+    SCOPED_TRACE(query);
+    auto plan = parallel_->PlanQuery(query);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return -1;
+    std::vector<std::vector<exec::ScanPredicate>> scans;
+    CollectScans(**plan, fact_.get(), &scans);
+    const bool any_bare = std::any_of(scans.begin(), scans.end(),
+                                      [](const auto& p) { return p.empty(); });
+    const std::vector<storage::PartitionRange> all =
+        exec::MakeMorsels(*fact_, kPruneMorselRows);
+    const std::vector<storage::PartitionRange> want =
+        any_bare ? all : ReachableMorsels(*fact_, scans);
+    const auto want_pruned = static_cast<int64_t>(all.size() - want.size());
+
+    // The planner method itself.
+    auto prep = parallel_->PreparePhysical(**plan, parallel_->options(), 4, nullptr,
+                                           nullptr);
+    EXPECT_TRUE(prep.ok()) << prep.status().ToString();
+    if (!prep.ok()) return -1;
+    EXPECT_TRUE(prep->use_morsel);
+    const std::vector<storage::PartitionRange> got =
+        prep->planner->Morsels(kPruneMorselRows);
+    EXPECT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].begin, want[i].begin) << "morsel " << i;
+      EXPECT_EQ(got[i].end, want[i].end) << "morsel " << i;
+    }
+
+    auto serial = serial_->ExecuteQuery(query);
+    EXPECT_TRUE(serial.ok()) << serial.status().ToString();
+    if (!serial.ok()) return -1;
+    int64_t before = Pruned();
+    auto engine = parallel_->ExecuteQuery(query);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ(Pruned() - before, want_pruned) << "engine path";
+    before = Pruned();
+    auto session = server_->CreateSession()->ExecuteQuery(query);
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(Pruned() - before, want_pruned) << "session path";
+    if (!engine.ok() || !session.ok()) return -1;
+    ExpectRowIdentical(*engine, *serial);
+    ExpectRowIdentical(*session, *serial);
+    EXPECT_EQ(engine->types, serial->types);
+    EXPECT_EQ(session->types, serial->types);
+
+    // The hand-computed row set: ids in order, each with the table's x.
+    EXPECT_EQ(serial->names, (std::vector<std::string>{"id", "x"}));
+    EXPECT_EQ(serial->num_rows, static_cast<int64_t>(ids.size()));
+    for (int64_t r = 0; r < std::min<int64_t>(serial->num_rows, ids.size()); ++r) {
+      const int64_t id = ids[static_cast<size_t>(r)];
+      EXPECT_EQ(serial->GetValue(r, 0).i, id) << "row " << r;
+      const float want_x = fact_->column(1).GetValue(id).f;
+      const float got_x = serial->GetValue(r, 1).f;
+      EXPECT_EQ(0, std::memcmp(&want_x, &got_x, sizeof(float))) << "row " << r;
+    }
+    return want_pruned;
+  }
+
+  static std::vector<int64_t> Range(int64_t lo, int64_t hi) {
+    std::vector<int64_t> ids;
+    for (int64_t i = lo; i < hi; ++i) ids.push_back(i);
+    return ids;
+  }
+
+  int64_t NumMorsels() const {
+    return static_cast<int64_t>(exec::MakeMorsels(*fact_, kPruneMorselRows).size());
+  }
+
+  storage::TablePtr fact_;
+  std::unique_ptr<sql::QueryEngine> serial_;
+  std::unique_ptr<sql::QueryEngine> parallel_;
+  std::unique_ptr<server::QueryServer> server_;
+};
+
+TEST_F(MorselPruningTest, PointRangeSchedulesOneMorsel) {
+  EXPECT_EQ(Check("SELECT id, x FROM fact WHERE id >= 50000 AND id < 50256",
+                   Range(50000, 50256)),
+            NumMorsels() - 1);
+}
+
+TEST_F(MorselPruningTest, RangeAcrossAMorselBoundaryKeepsBoth) {
+  EXPECT_EQ(Check("SELECT id, x FROM fact WHERE id >= 8000 AND id < 8400",
+                  Range(8000, 8400)),
+            NumMorsels() - 2);
+}
+
+TEST_F(MorselPruningTest, EmptyRangePrunesEveryMorselAndKeepsTheSchema) {
+  EXPECT_EQ(Check("SELECT id, x FROM fact WHERE id > 1000000", {}), NumMorsels());
+}
+
+TEST_F(MorselPruningTest, WholeTablePrunesNothing) {
+  EXPECT_EQ(Check("SELECT id, x FROM fact", Range(0, kPruneRows)), 0);
+}
+
+TEST_F(MorselPruningTest, UnsortedFloatPredicatePrunesByZoneMap) {
+  std::vector<int64_t> ids;
+  for (int64_t i = 0; i < kPruneRows; ++i) {
+    if (fact_->column(1).GetValue(i).f > 0.6f) ids.push_back(i);
+  }
+  ASSERT_FALSE(ids.empty());
+  const int64_t pruned = Check("SELECT id, x FROM fact WHERE x > 0.6", ids);
+  // Every morsel from id 40 000 on is out of reach; the earlier ones not.
+  EXPECT_EQ(pruned, NumMorsels() - (40'000 + kPruneMorselRows - 1) / kPruneMorselRows);
+}
+
+TEST_F(MorselPruningTest, SelfJoinWithOneFilteredBranchPrunesNothing) {
+  const std::string query =
+      "SELECT a.id, b.x FROM fact a, fact b WHERE a.id = b.id AND a.id < 5000";
+  ASSERT_OK_AND_ASSIGN(auto plan, parallel_->PlanQuery(query));
+  std::vector<std::vector<exec::ScanPredicate>> scans;
+  CollectScans(*plan, fact_.get(), &scans);
+  ASSERT_EQ(scans.size(), 2u);
+  ASSERT_NE(scans[0].empty(), scans[1].empty()) << "one branch filtered";
+  EXPECT_EQ(Check(query, Range(0, 5000)), 0);
+}
+
+/// A NaN cell must not hide its block: NaN is left out of the zone map's
+/// bounds (it compares false with everything), and `<>` never prunes a
+/// block holding NaN, which satisfies it. Serial scan pruning and the
+/// planner's morsel pruning read the same stats.
+TEST(ZoneMapNanTest, NanCellsDoNotHideTheirBlock) {
+  auto table = std::make_shared<storage::Table>(
+      "fact", std::vector<storage::Field>{{"id", exec::DataType::kInt64},
+                                          {"x", exec::DataType::kFloat}});
+  const int64_t rows = 4 * kRowsPerBlock;
+  for (int64_t i = 0; i < rows; ++i) {
+    // Every block opens with a NaN; the last block is NaN throughout.
+    const bool nan = i % kRowsPerBlock == 0 || i >= 3 * kRowsPerBlock;
+    INDBML_CHECK(table
+                     ->AppendRow({storage::Value::Int64(i),
+                                  storage::Value::Float(nan ? NAN : 1.0f)})
+                     .ok());
+  }
+  table->Finalize();
+  table->SetUniqueIdColumn("id");
+  table->SetSortedBy({"id"});
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    sql::QueryEngine::Options options;
+    options.worker_threads = workers;
+    options.morsel_rows = kRowsPerBlock;
+    sql::QueryEngine engine(options);
+    ASSERT_OK(engine.catalog()->CreateTable(table));
+    ASSERT_OK_AND_ASSIGN(auto above, engine.ExecuteQuery(
+                                         "SELECT id FROM fact WHERE x > 0.5"));
+    EXPECT_EQ(above.num_rows, 3 * (kRowsPerBlock - 1));
+    ASSERT_OK_AND_ASSIGN(auto other, engine.ExecuteQuery(
+                                         "SELECT id FROM fact WHERE x <> 1.0"));
+    EXPECT_EQ(other.num_rows, 3 + kRowsPerBlock);
+  }
 }
 
 TEST(MorselSafetyValidationTest, AcceptsParallelSafeRejectsSerialOnly) {
