@@ -9,6 +9,7 @@
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "common/validation.h"
+#include "inference/cache.h"
 #include "inference/validate.h"
 
 namespace indbml::inference {
@@ -108,6 +109,9 @@ SharedModel::SharedModel(nn::ModelMeta meta, device::Device* device,
 }
 
 SharedModel::~SharedModel() {
+  // No query can look this instance's id up again: its cached predictions
+  // go with it.
+  InferenceCache::Global().InvalidateModel(model_id_);
   const bool gpu = device_->is_gpu();
   for (size_t li = 0; li < meta_.layers.size(); ++li) {
     const LayerMeta& layer = meta_.layers[li];

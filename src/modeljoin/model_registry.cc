@@ -5,23 +5,12 @@
 #include "common/config.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "inference/cache.h"
 
 namespace indbml::modeljoin {
 
 using inference::SharedModel;
 
 namespace {
-
-/// A registry entry leaving the registry takes its memoized predictions
-/// with it: the InferenceCache keys on the model *instance* id, so dropping
-/// the instance's entries is what makes redeploys unable to serve stale
-/// cached results.
-void DropCachedPredictions(const std::shared_ptr<SharedModel>& model) {
-  if (model != nullptr) {
-    inference::InferenceCache::Global().InvalidateModel(model->model_id());
-  }
-}
 
 std::string MakeKey(const std::string& model_name, const std::string& device) {
   return model_name + "|" + device;
@@ -73,7 +62,6 @@ Result<std::shared_ptr<SharedModel>> SharedModelRegistry::GetOrBuild(
         // this model was built from: the model was re-deployed. Stale —
         // evict and rebuild.
         RegistryCounter("invalidations")->Increment();
-        DropCachedPredictions(entry->model);
         entries_.erase(it);
         entry.reset();
         break;
@@ -122,7 +110,6 @@ void SharedModelRegistry::InvalidateModel(const std::string& model_name) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->first.rfind(prefix, 0) == 0 && it->second->ready) {
       RegistryCounter("invalidations")->Increment();
-      DropCachedPredictions(it->second->model);
       it = entries_.erase(it);
     } else {
       ++it;
@@ -135,7 +122,6 @@ void SharedModelRegistry::Clear() {
   MutexLock lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second->ready) {
-      DropCachedPredictions(it->second->model);
       it = entries_.erase(it);
     } else {
       ++it;
@@ -166,7 +152,6 @@ void SharedModelRegistry::EvictOverCapacityLocked() {
     }
     if (victim == entries_.end()) return;  // everything is building
     RegistryCounter("evictions")->Increment();
-    DropCachedPredictions(victim->second->model);
     entries_.erase(victim);
   }
 }

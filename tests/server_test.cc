@@ -17,6 +17,7 @@
 #include "benchlib/workloads.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
+#include "inference/cache.h"
 #include "mltosql/mltosql.h"
 #include "modeljoin/model_registry.h"
 #include "modeljoin/register.h"
@@ -278,6 +279,54 @@ TEST_F(ServerTest, PerQueryModelJoinRunsMultiInstance) {
       << "per-query builds must bypass the registry";
 }
 
+/// Per-query models with the result cache on: every query's model gets a
+/// table under its own id, and the table goes with the model, so the cache
+/// never holds more than the queries in flight.
+TEST_F(ServerTest, PerQueryModelsLeaveNoCacheTables) {
+  server::QueryServer::Options options;
+  options.engine.shared_models = false;
+  options.worker_threads = 4;
+  auto srv = MakeServer(options);
+  constexpr int64_t kRows = 1000;
+  LoadIris(srv.get(), kRows);
+  DeployDense(srv.get(), 8, 2, "dense8");
+  const std::string query = DenseQuery("dense8");
+  inference::InferenceCache& cache = inference::InferenceCache::Global();
+  const inference::InferenceCache::Stats before = cache.GetStats();
+  // A query's model dies with its operators, which an executor thread may
+  // tear down just after Wait() returns: give the count a moment to settle.
+  auto settled = [&cache](int64_t tables) {
+    for (int i = 0; i < 500 && cache.GetStats().tables > tables; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return cache.GetStats();
+  };
+  const int64_t misses0 = CounterValue("inference.cache_misses");
+  constexpr int kSessions = 4;
+  constexpr int kRounds = 25;
+  std::vector<std::unique_ptr<server::Session>> sessions;
+  for (int i = 0; i < kSessions; ++i) sessions.push_back(srv->CreateSession());
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::shared_ptr<server::QueryHandle>> handles;
+    for (auto& session : sessions) {
+      ASSERT_OK_AND_ASSIGN(auto handle, session->Submit(query));
+      handles.push_back(std::move(handle));
+    }
+    for (auto& handle : handles) {
+      ASSERT_OK_AND_ASSIGN(auto result, handle->Wait());
+      ASSERT_EQ(result.num_rows, kRows);
+    }
+    handles.clear();
+    const inference::InferenceCache::Stats stats = settled(before.tables);
+    EXPECT_LE(stats.tables, before.tables) << "round " << round;
+    EXPECT_LE(stats.entries, before.entries) << "round " << round;
+    EXPECT_LE(stats.bytes, before.bytes) << "round " << round;
+  }
+  // Every row went through the cache: looked up, missed, inserted.
+  EXPECT_GE(CounterValue("inference.cache_misses") - misses0,
+            kRounds * kSessions * kRows);
+}
+
 TEST_F(ServerTest, RegistryInvalidatedOnModelRedeploy) {
   auto srv = MakeServer();
   LoadIris(srv.get(), 500);
@@ -340,6 +389,10 @@ TEST_F(ServerTest, CancelDuringInferenceWaitReturnsPromptly) {
   // 2 s. Cancel must cut through it.
   opts.inference.batch_window_us = 2'000'000;
   opts.morsel_rows = 512;
+  // Every morsel must reach the batcher. The iris rows repeat every 150
+  // tuples, so with the result cache on all morsels after the first few
+  // are cache hits and the query can finish before Cancel lands.
+  opts.inference.result_cache = false;
   session->set_options(opts);
 
   Stopwatch watch;
