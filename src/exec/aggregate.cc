@@ -149,8 +149,24 @@ int32_t GroupTable::Insert(const uint64_t* const* keys, int64_t row, uint64_t h,
   return g;
 }
 
+void GroupTable::AppendGroups(const uint64_t* const* keys, const uint64_t* hashes,
+                              const int32_t* rows, int64_t n) {
+  if (n == 0) return;
+  INDBML_CHECK(num_groups_ + n <= std::numeric_limits<int32_t>::max())
+      << "too many groups";
+  for (size_t k = 0; k < keys_.size(); ++k) {
+    for (int64_t i = 0; i < n; ++i) keys_[k].push_back(keys[k][rows[i]]);
+  }
+  for (int64_t i = 0; i < n; ++i) hashes_.push_back(hashes[rows[i]]);
+  states_.resize(states_.size() + static_cast<size_t>(n) * modes_.size());
+  num_groups_ += n;
+  unindexed_ = true;
+  Track();
+}
+
 void GroupTable::FindOrInsert(const uint64_t* const* keys, const uint64_t* hashes,
                               int64_t n, int32_t* gids) {
+  INDBML_DCHECK(!unindexed_) << "FindOrInsert on a table filled by AppendGroups";
   const size_t num_keys = keys_.size();
   for (int64_t i = 0; i < n; ++i) {
     const uint64_t h = hashes[i];
@@ -296,6 +312,7 @@ void GroupTable::Clear() {
   hashes_.clear();
   states_.clear();
   num_groups_ = 0;
+  unindexed_ = false;
 }
 
 PrefixGroups::PrefixGroups(size_t prefix_keys, size_t rest_keys,
@@ -303,11 +320,10 @@ PrefixGroups::PrefixGroups(size_t prefix_keys, size_t rest_keys,
     : table_(rest_keys, aggs), prefix_(prefix_keys) {}
 
 int64_t PrefixGroups::Run(const std::vector<std::vector<uint64_t>>& keys,
-                          int64_t begin, int64_t end, const int32_t* sel) {
+                          int64_t begin, int64_t end) {
   const size_t prefix = prefix_.size();
   if (!active_) {
-    const size_t first = static_cast<size_t>(sel != nullptr ? sel[begin] : begin);
-    for (size_t k = 0; k < prefix; ++k) prefix_[k] = keys[k][first];
+    for (size_t k = 0; k < prefix; ++k) prefix_[k] = keys[k][static_cast<size_t>(begin)];
     active_ = true;
   }
   // The run ends at the first row where any prefix key differs.
@@ -315,11 +331,7 @@ int64_t PrefixGroups::Run(const std::vector<std::vector<uint64_t>>& keys,
     const uint64_t* col = keys[k].data();
     const uint64_t want = prefix_[k];
     int64_t row = begin;
-    if (sel != nullptr) {
-      while (row < end && col[sel[row]] == want) ++row;
-    } else {
-      while (row < end && col[row] == want) ++row;
-    }
+    while (row < end && col[row] == want) ++row;
     end = row;
   }
   return end;

@@ -61,6 +61,14 @@ class GroupTable {
   void FindOrInsert(const uint64_t* const* keys, const uint64_t* hashes, int64_t n,
                     int32_t* gids);
 
+  /// Appends `n` new groups without indexing them for FindOrInsert: group
+  /// size() + i gets keys `keys[k][rows[i]]` and hash `hashes[rows[i]]`.
+  /// For callers that identify their groups themselves (GroupJoinOperator
+  /// by dense build-side ids); a table filled this way must not be probed
+  /// with FindOrInsert before the next Clear.
+  void AppendGroups(const uint64_t* const* keys, const uint64_t* hashes,
+                    const int32_t* rows, int64_t n);
+
   /// Adds rows [begin, begin + n) of the flat argument vectors (`args[a]`
   /// is ignored for COUNT) to the groups `gids[0..n)`.
   void Update(const std::vector<Vector>& args, int64_t begin, int64_t n,
@@ -93,6 +101,7 @@ class GroupTable {
   std::vector<int32_t> slots_;               ///< group id, -1 if empty
   int slot_shift_;                           ///< slot = hash >> slot_shift_
   int64_t num_groups_ = 0;
+  bool unindexed_ = false;  ///< holds groups added by AppendGroups
   TrackedBytes tracked_;
 };
 
@@ -118,11 +127,15 @@ class PrefixGroups {
   int64_t peak_group_count() const { return peak_group_count_; }
 
   /// Returns the end of the run of rows [begin, end') with end' <= `end`
-  /// whose prefix keys `keys[k][sel[row]]` (k < prefix keys; `sel` null
-  /// reads `keys[k][row]`) equal the current prefix. With no prefix active,
-  /// row `begin` starts one.
+  /// whose prefix keys `keys[k][row]` (k < prefix keys) equal the current
+  /// prefix. With no prefix active, row `begin` starts one.
   int64_t Run(const std::vector<std::vector<uint64_t>>& keys, int64_t begin,
-              int64_t end, const int32_t* sel = nullptr);
+              int64_t end);
+  /// Whether row `row`'s prefix keys equal the current prefix; with no
+  /// prefix active, the row starts one.
+  bool Continues(const std::vector<std::vector<uint64_t>>& keys, int64_t row) {
+    return Run(keys, row, row + 1) > row;
+  }
   /// GroupTable::Update on the current prefix's groups.
   void Update(const std::vector<Vector>& args, int64_t begin, int64_t n,
               const int32_t* gids);

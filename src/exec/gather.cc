@@ -1,5 +1,6 @@
 #include "exec/gather.h"
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 
@@ -109,6 +110,34 @@ void NormalizeTyped(const T* base, const SelectionVector* sel, int64_t n,
   for (int64_t i = 0; i < n; ++i) dst[i] = word(base[s[i]]);
 }
 
+template <typename T, bool kSelected>
+void GatherProbeRunsTyped(const T* base, const int32_t* sel, const PairRuns& runs,
+                          T* dst) {
+  for (int64_t r = 0; r < runs.count; ++r) {
+    const T v = base[kSelected ? sel[runs.probe[r]] : runs.probe[r]];
+    std::fill(dst, dst + runs.length[r], v);
+    dst += runs.length[r];
+  }
+}
+
+template <typename T>
+void GatherProbeRunsTyped(const T* base, const SelectionVector* sel, const PairRuns& runs,
+                          T* dst) {
+  if (sel == nullptr) {
+    GatherProbeRunsTyped<T, false>(base, nullptr, runs, dst);
+  } else {
+    GatherProbeRunsTyped<T, true>(base, sel->data(), runs, dst);
+  }
+}
+
+template <typename T>
+void GatherBuildRunsTyped(const T* base, const PairRuns& runs, T* dst) {
+  for (int64_t r = 0; r < runs.count; ++r) {
+    std::copy(base + runs.build[r], base + runs.build[r] + runs.length[r], dst);
+    dst += runs.length[r];
+  }
+}
+
 }  // namespace
 
 void GatherIndexed(const Vector& src, const int32_t* idx, int64_t n, Vector* dst,
@@ -126,6 +155,49 @@ void GatherIndexed(const Vector& src, const int32_t* idx, int64_t n, Vector* dst
       return;
     case DataType::kFloat:
       GatherTyped(src.BaseFloats(), sel, idx, n, dst->floats() + dst_row);
+      return;
+  }
+}
+
+void GatherProbeRuns(const Vector& src, const PairRuns& runs, Vector* dst,
+                     int64_t dst_row) {
+  if (runs.count == runs.pairs) {
+    GatherIndexed(src, runs.probe, runs.pairs, dst, dst_row);
+    return;
+  }
+  INDBML_DCHECK(src.type() == dst->type());
+  dst->ResizeForOverwrite(dst_row + runs.pairs, dst_row);
+  const SelectionVector* sel = src.selection();
+  switch (src.type()) {
+    case DataType::kBool:
+      GatherProbeRunsTyped(src.BaseBools(), sel, runs, dst->bools() + dst_row);
+      return;
+    case DataType::kInt64:
+      GatherProbeRunsTyped(src.BaseInts(), sel, runs, dst->ints() + dst_row);
+      return;
+    case DataType::kFloat:
+      GatherProbeRunsTyped(src.BaseFloats(), sel, runs, dst->floats() + dst_row);
+      return;
+  }
+}
+
+void GatherBuildRuns(const Vector& src, const PairRuns& runs, Vector* dst,
+                     int64_t dst_row) {
+  if (runs.count == runs.pairs) {
+    GatherIndexed(src, runs.build, runs.pairs, dst, dst_row);
+    return;
+  }
+  INDBML_DCHECK(src.type() == dst->type() && src.selection() == nullptr);
+  dst->ResizeForOverwrite(dst_row + runs.pairs, dst_row);
+  switch (src.type()) {
+    case DataType::kBool:
+      GatherBuildRunsTyped(src.BaseBools(), runs, dst->bools() + dst_row);
+      return;
+    case DataType::kInt64:
+      GatherBuildRunsTyped(src.BaseInts(), runs, dst->ints() + dst_row);
+      return;
+    case DataType::kFloat:
+      GatherBuildRunsTyped(src.BaseFloats(), runs, dst->floats() + dst_row);
       return;
   }
 }

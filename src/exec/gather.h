@@ -37,6 +37,27 @@ void GatherToFloatStrided(const Vector& v, float* dst, int64_t stride);
 void GatherIndexed(const Vector& src, const int32_t* idx, int64_t n, Vector* dst,
                    int64_t dst_row = 0);
 
+/// \brief One batch of join pairs as runs, in probe order: run i pairs
+/// logical probe row `probe[i]` with build rows [build[i], build[i] +
+/// length[i]) of a key-grouped build side (HashJoinPairs); `pairs` is the
+/// sum of the lengths.
+struct PairRuns {
+  const int32_t* probe;
+  const int32_t* build;
+  const int32_t* length;
+  int64_t count;
+  int64_t pairs;
+};
+
+/// Run gathers of a batch of join pairs, appending to `dst` from row
+/// `dst_row` on as GatherIndexed does. GatherProbeRuns repeats each run's
+/// probe row of `src` once per pair; GatherBuildRuns copies each run's rows
+/// of the flat `src`. When every run is one pair they are GatherIndexed.
+void GatherProbeRuns(const Vector& src, const PairRuns& runs, Vector* dst,
+                     int64_t dst_row = 0);
+void GatherBuildRuns(const Vector& src, const PairRuns& runs, Vector* dst,
+                     int64_t dst_row = 0);
+
 /// \brief Key kernels shared by hash join and hash aggregation, so both
 /// agree on key equality.
 ///

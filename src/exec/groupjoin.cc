@@ -50,11 +50,16 @@ OperatorStats* GroupJoinOperator::JoinStats(const ExecContext* ctx) const {
   return profile_ == nullptr ? nullptr : profile_->slot(join_node_, ctx->worker_id);
 }
 
+OperatorStats* GroupJoinOperator::AggregateStats(const ExecContext* ctx) const {
+  return profile_ == nullptr ? nullptr : ctx->active_stats;
+}
+
 void GroupJoinOperator::ResetStream() {
   prefix_groups_.Reset();
   ClearGroupMap();
   args_.clear();
   batch_size_ = 0;
+  batch_run_ = 0;
   batch_row_ = 0;
   prefix_chunk_ = -1;
 }
@@ -90,6 +95,8 @@ Status GroupJoinOperator::Build(ExecContext* ctx) {
   rest_ids_.Clear();
   dense_.resize(static_cast<size_t>(rows));
   rest_ids_.FindOrInsert(rest_ptrs_.data(), hashes.data(), rows, dense_.data());
+  // From here on the rest keys are read per dense id, from rest_ids_.
+  for (size_t k = 0; k < rest_keys_.size(); ++k) rest_ptrs_[k] = rest_ids_.keys(k);
   group_of_dense_.assign(static_cast<size_t>(rest_ids_.size()), -1);
   dense_of_group_.clear();
   // A prefix holds at most one group per dense id.
@@ -108,6 +115,7 @@ Status GroupJoinOperator::NextBatch(ExecContext* ctx) {
   // Drop the previous batch's argument views first, so Reset can reuse the
   // narrow chunk's buffers.
   args_.clear();
+  batch_run_ = 0;
   batch_row_ = 0;
   batch_size_ = 0;
   OperatorStats* join = JoinStats(ctx);
@@ -124,46 +132,65 @@ Status GroupJoinOperator::NextBatch(ExecContext* ctx) {
     ++join->chunks;
   }
   if (pairs_.probe_chunks() != prefix_chunk_) {
-    // A new probe chunk: normalise its prefix keys, which are compared per
-    // pair through probe_sel, never hashed.
+    // A new probe chunk: normalise its prefix keys, which are compared once
+    // per run, never hashed.
     INDBML_RETURN_NOT_OK(NormalizeAndHashKeys(prefix_keys_, pairs_.probe_chunk(), 0,
                                               &prefix_norm_, nullptr));
     prefix_chunk_ = pairs_.probe_chunks();
     Track();
   }
-  narrow_.Reset(narrow_types_);
-  const int64_t probe_width = static_cast<int64_t>(probe_columns_.size());
-  for (int64_t j = 0; j < probe_width; ++j) {
-    GatherIndexed(pairs_.probe_chunk().column(probe_columns_[static_cast<size_t>(j)]),
-                  pairs_.probe_sel(), n, &narrow_.column(j));
+  OperatorStats* agg = AggregateStats(ctx);
+  {
+    ScopedNanos gather(agg != nullptr ? &agg->phase_nanos["gather"] : nullptr);
+    narrow_.Reset(narrow_types_);
+    const PairRuns runs = pairs_.runs();
+    const int64_t probe_width = static_cast<int64_t>(probe_columns_.size());
+    for (int64_t j = 0; j < probe_width; ++j) {
+      GatherProbeRuns(pairs_.probe_chunk().column(probe_columns_[static_cast<size_t>(j)]),
+                      runs, &narrow_.column(j));
+    }
+    for (size_t j = 0; j < build_columns_.size(); ++j) {
+      GatherBuildRuns(pairs_.build_columns()[static_cast<size_t>(build_columns_[j])],
+                      runs, &narrow_.column(probe_width + static_cast<int64_t>(j)));
+    }
+    narrow_.size = n;
   }
-  for (size_t j = 0; j < build_columns_.size(); ++j) {
-    GatherIndexed(pairs_.build_columns()[static_cast<size_t>(build_columns_[j])],
-                  pairs_.build_sel(), n,
-                  &narrow_.column(probe_width + static_cast<int64_t>(j)));
-  }
-  narrow_.size = n;
+  ScopedNanos evaluate(agg != nullptr ? &agg->phase_nanos["evaluate"] : nullptr);
   return EvaluateAggregateArgs(aggregates_, narrow_, &args_);
 }
 
-void GroupJoinOperator::AssignGroups(int64_t begin, int64_t end) {
-  const int32_t* build_sel = pairs_.build_sel();
+bool GroupJoinOperator::AggregatePrefixRuns() {
+  const PairRuns runs = pairs_.runs();
   const int32_t* dense = dense_.data();
-  int32_t* gids = gids_.data();
-  for (int64_t i = begin; i < end; ++i) {
-    const int32_t d = dense[build_sel[i]];
-    const int32_t g = group_of_dense_[static_cast<size_t>(d)];
-    gids[i] = g >= 0 ? g : NewGroup(d);
+  int32_t* group_of_dense = group_of_dense_.data();
+  GroupTable& table = prefix_groups_.table();
+  const int64_t begin = batch_row_;
+  int64_t end = begin;
+  int64_t r = batch_run_;
+  for (; r < runs.count && prefix_groups_.Continues(prefix_norm_, runs.probe[r]); ++r) {
+    // The run's build rows, in build order: a first-seen dense id becomes
+    // the prefix's next group.
+    const int32_t* run_dense = dense + runs.build[r];
+    int32_t* gids = gids_.data() + end;
+    for (int32_t j = 0; j < runs.length[r]; ++j) {
+      const int32_t d = run_dense[j];
+      int32_t g = group_of_dense[d];
+      if (g < 0) {
+        g = static_cast<int32_t>(dense_of_group_.size());
+        group_of_dense[d] = g;
+        dense_of_group_.push_back(d);
+      }
+      gids[j] = g;
+    }
+    end += runs.length[r];
   }
-}
-
-int32_t GroupJoinOperator::NewGroup(int32_t dense) {
-  for (size_t k = 0; k < rest_keys_.size(); ++k) rest_ptrs_[k] = rest_ids_.keys(k) + dense;
-  int32_t g;
-  prefix_groups_.table().FindOrInsert(rest_ptrs_.data(), rest_ids_.hashes() + dense, 1, &g);
-  group_of_dense_[static_cast<size_t>(dense)] = g;
-  dense_of_group_.push_back(dense);
-  return g;
+  table.AppendGroups(rest_ptrs_.data(), rest_ids_.hashes(),
+                     dense_of_group_.data() + table.size(),
+                     static_cast<int64_t>(dense_of_group_.size()) - table.size());
+  prefix_groups_.Update(args_, begin, end - begin, gids_.data() + begin);
+  batch_run_ = r;
+  batch_row_ = end;
+  return r == runs.count;
 }
 
 Status GroupJoinOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
@@ -182,15 +209,11 @@ Status GroupJoinOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
       }
       continue;
     }
-    // Aggregate the run of pairs that share the current prefix.
-    const int64_t begin = batch_row_;
-    const int64_t end =
-        prefix_groups_.Run(prefix_norm_, begin, batch_size_, pairs_.probe_sel());
-    AssignGroups(begin, end);
-    prefix_groups_.Update(args_, begin, end - begin, gids_.data() + begin);
-    batch_row_ = end;
-    // The prefix changed: emit its groups before aggregating further.
-    if (end < batch_size_) prefix_groups_.Finish();
+    OperatorStats* agg = AggregateStats(ctx);
+    ScopedNanos update(agg != nullptr ? &agg->phase_nanos["update"] : nullptr);
+    // The prefix changed inside the batch: emit its groups before
+    // aggregating further.
+    if (!AggregatePrefixRuns()) prefix_groups_.Finish();
   }
   *eof = pairs_.eof() && batch_row_ >= batch_size_ && !prefix_groups_.active();
   return Status::OK();

@@ -20,12 +20,15 @@ namespace indbml::exec {
 /// remaining group keys are build columns. Within one prefix, a pair's
 /// group then depends only on its build row. So the operator numbers the
 /// distinct rest-key tuples of the build side once per build (a GroupTable
-/// over the build rows), walks the HashJoinPairs of each probe chunk, and
-/// maps a pair's build row to its group of the current prefix through that
-/// dense id, in first-seen order. Per pair it hashes no key and gathers only
-/// the columns the aggregate arguments read; the arguments are evaluated
-/// with EvaluateExpr and summed through GroupTable::Update in probe order,
-/// then chain order, as the unfused pair does. No joined chunk is built.
+/// over the build rows) and consumes the HashJoinPairs of each probe chunk
+/// run by run: all pairs of one run share a probe row, hence its prefix,
+/// which is compared once per run, and a key-contiguous range of build
+/// rows, whose dense ids map to the prefix's groups in first-seen order
+/// (new groups are appended to the prefix's table without hashing). The
+/// narrow argument chunk is filled per run (the probe value repeated, the
+/// build range copied), the arguments are evaluated with EvaluateExpr, and
+/// they are summed through GroupTable::Update in probe order, then build
+/// order, as the unfused pair does. No joined chunk is built.
 ///
 /// Column indexes: `prefix_keys` are bound to the probe side and `rest_keys`
 /// are column references of the build side. The aggregate arguments are
@@ -34,12 +37,15 @@ namespace indbml::exec {
 ///
 /// Profiling: with a non-null `profile` the operator also fills the stats of
 /// the join node `join_node` it replaces. Its rows are the pairs walked; its
-/// times cover the join's own work (build, probe fetch and chain walk) and
+/// times cover the join's own work (build, probe fetch and run walk) and
 /// every call into the children, so the join's time stays inclusive of its
 /// children and the aggregate node keeps gather, evaluation, accumulation
 /// and emission as its self time. The join node's `groupjoin` phase is the
 /// part spent fetching probe chunks and walking their pairs; it also marks
-/// the join as fused in EXPLAIN ANALYZE.
+/// the join as fused in EXPLAIN ANALYZE. The aggregate node's `gather`,
+/// `evaluate` and `update` phases split its self time into filling the
+/// narrow chunk, evaluating the arguments, and assigning groups plus
+/// accumulating.
 class GroupJoinOperator final : public Operator {
  public:
   GroupJoinOperator(OperatorPtr probe, OperatorPtr build, std::vector<ExprPtr> probe_keys,
@@ -61,6 +67,9 @@ class GroupJoinOperator final : public Operator {
  private:
   /// The join node's stats slot of this worker, null when not profiled.
   OperatorStats* JoinStats(const ExecContext* ctx) const;
+  /// The aggregate node's stats slot (the call in flight), null when not
+  /// profiled.
+  OperatorStats* AggregateStats(const ExecContext* ctx) const;
   void ResetStream();
   /// Reports the dense ids, the group map and the per-chunk prefix keys and
   /// group ids to the MemoryTracker.
@@ -71,12 +80,9 @@ class GroupJoinOperator final : public Operator {
   /// probe chunk and evaluates the batch's aggregate arguments; batch_size_
   /// is 0 once the probe side is done.
   Status NextBatch(ExecContext* ctx);
-  /// Sets gids_[i] for pairs [begin, end) of the batch to their group of
-  /// the current prefix, adding first-seen groups to the table.
-  void AssignGroups(int64_t begin, int64_t end);
-  /// Adds the group of rest-key tuple `dense` to the current prefix, which
-  /// does not hold it yet.
-  int32_t NewGroup(int32_t dense);
+  /// Aggregates the batch's runs from batch_run_ on that continue the
+  /// current prefix; returns whether the batch ended inside the prefix.
+  bool AggregatePrefixRuns();
   /// Forgets the current prefix's dense id -> group mapping.
   void ClearGroupMap();
 
@@ -96,15 +102,16 @@ class GroupJoinOperator final : public Operator {
   std::vector<int32_t> dense_;   ///< [build row] dense id of its rest keys
   std::vector<int32_t> group_of_dense_;  ///< [dense id] group in the prefix, -1
   std::vector<int32_t> dense_of_group_;  ///< [group] its dense id
-  std::vector<const uint64_t*> rest_ptrs_;  ///< FindOrInsert key pointers
+  std::vector<const uint64_t*> rest_ptrs_;  ///< rest_ids_' key columns
 
   PrefixGroups prefix_groups_;
 
   // The current batch of pairs.
   std::vector<DataType> narrow_types_;
   DataChunk narrow_;  ///< gathered probe_columns_ then build_columns_
-  int64_t batch_size_ = 0;
-  int64_t batch_row_ = 0;
+  int64_t batch_size_ = 0;   ///< pairs in the batch
+  int64_t batch_run_ = 0;    ///< next run of pairs_.runs() to aggregate
+  int64_t batch_row_ = 0;    ///< its first pair
   int64_t prefix_chunk_ = -1;  ///< probe chunk prefix_norm_ belongs to
   std::vector<std::vector<uint64_t>> prefix_norm_;  ///< [key][probe row]
   std::vector<Vector> args_;                        ///< [aggregate][pair]

@@ -36,52 +36,197 @@ HashJoinPairs::HashJoinPairs(OperatorPtr probe, OperatorPtr build,
       probe_keys_(std::move(probe_keys)),
       build_keys_(std::move(build_keys)) {}
 
+namespace {
+
+/// Bits of a bucket array with at least two buckets per entry, which keeps
+/// a bucket's chain about one entry long.
+int BucketBits(int64_t entries) {
+  int bits = 1;
+  while ((int64_t{1} << bits) < 2 * entries) ++bits;
+  return bits;
+}
+
+/// The build lays its rows out in key runs when more than half of
+/// kRepeatSamples build rows, spread evenly over it, share their key with at
+/// least kRunRowsPerKey - 1 other rows. A run saves a hash-and-key
+/// comparison per further match of a probe row; it costs numbering the
+/// keys and, when equal keys are scattered, moving every build row. Below
+/// that repetition the build keeps its rows in place, chained per bucket.
+constexpr int64_t kRepeatSamples = 64;
+constexpr int64_t kRunRowsPerKey = 4;
+
+}  // namespace
+
 Status HashJoinPairs::EnsureBuilt(ExecContext* ctx) {
   if (built_) return Status::OK();
   INDBML_RETURN_NOT_OK(
       DrainColumns(build_.get(), ctx, &build_columns_, &build_rows_));
   INDBML_RETURN_NOT_OK(NormalizeAndHashKeys(build_keys_,
                                             ColumnsChunk(build_columns_, build_rows_),
-                                            0, &build_norm_keys_, &build_hashes_));
-  // At least two buckets per build row keeps chains ~1 long; the bucket is
-  // the hash's high bits.
-  int bits = 1;
-  while ((int64_t{1} << bits) < 2 * build_rows_) ++bits;
-  bucket_shift_ = 64 - bits;
-  heads_.assign(size_t{1} << bits, -1);
-  next_.resize(static_cast<size_t>(build_rows_));
-  // Inserting back to front at the heads leaves every chain in build order.
-  for (int64_t r = build_rows_ - 1; r >= 0; --r) {
-    int32_t& head = heads_[build_hashes_[static_cast<size_t>(r)] >> bucket_shift_];
-    next_[static_cast<size_t>(r)] = head;
-    head = static_cast<int32_t>(r);
+                                            0, &words_, &hashes_));
+  ChainRows();
+  run_start_.clear();
+  if (KeysRepeat()) {
+    std::vector<int32_t> row_key;
+    TrackedBytes scratch;
+    const bool grouped = NumberKeys(&row_key);
+    scratch.Set(CapacityBytes(row_key));
+    CompactKeys();
+    if (!grouped) GroupRows(row_key);
+    run_start_.push_back(static_cast<int32_t>(build_rows_));
   }
   // Sized here, not at construction: a worker whose plan never runs a
   // morsel then holds (and reports) nothing.
-  probe_sel_.resize(kDefaultVectorSize);
-  build_sel_.resize(kDefaultVectorSize);
+  run_probe_.resize(kDefaultVectorSize);
+  run_build_.resize(kDefaultVectorSize);
+  run_length_.resize(kDefaultVectorSize);
   Track();
   built_ = true;
   return Status::OK();
 }
 
+void HashJoinPairs::ChainRows() {
+  const int bits = BucketBits(build_rows_);
+  bucket_shift_ = 64 - bits;
+  heads_.assign(size_t{1} << bits, -1);
+  next_.resize(static_cast<size_t>(build_rows_));
+  // Inserting back to front at the heads leaves every chain in build order.
+  for (int64_t r = build_rows_ - 1; r >= 0; --r) {
+    int32_t& head = heads_[hashes_[static_cast<size_t>(r)] >> bucket_shift_];
+    next_[static_cast<size_t>(r)] = head;
+    head = static_cast<int32_t>(r);
+  }
+}
+
+bool HashJoinPairs::KeysRepeat() const {
+  const int64_t step = std::max<int64_t>(1, build_rows_ / kRepeatSamples);
+  int64_t sampled = 0;
+  int64_t repeated = 0;
+  for (int64_t r = 0; r < build_rows_; r += step) {
+    const size_t row = static_cast<size_t>(r);
+    const uint64_t h = hashes_[row];
+    int64_t same = 0;
+    for (int32_t e = heads_[h >> bucket_shift_]; e >= 0 && same < kRunRowsPerKey;
+         e = next_[static_cast<size_t>(e)]) {
+      const size_t entry = static_cast<size_t>(e);
+      if (hashes_[entry] != h) continue;
+      size_t w = 0;
+      while (w < words_.size() && words_[w][entry] == words_[w][row]) ++w;
+      if (w == words_.size()) ++same;
+    }
+    ++sampled;
+    if (same >= kRunRowsPerKey) ++repeated;
+  }
+  return 2 * repeated > sampled;
+}
+
+bool HashJoinPairs::NumberKeys(std::vector<int32_t>* row_key) {
+  // Re-chains the keys instead of the rows: the heads are cleared, next_
+  // and run_start_ are sized for every row being a new key and cut to the
+  // key count at the end.
+  std::fill(heads_.begin(), heads_.end(), -1);
+  run_start_.resize(static_cast<size_t>(build_rows_) + 1);
+  row_key->resize(static_cast<size_t>(build_rows_));
+  // Key k's words and hash move to entry k as it is numbered; k never
+  // exceeds the row being numbered, so no row still to come is overwritten.
+  uint64_t* hashes = hashes_.data();
+  int32_t* next = next_.data();
+  int32_t* first_row = run_start_.data();
+  const size_t num_words = words_.size();
+  int32_t keys = 0;
+  bool grouped = true;
+  int32_t prev = -1;
+  for (int64_t r = 0; r < build_rows_; ++r) {
+    const size_t row = static_cast<size_t>(r);
+    const uint64_t h = hashes[row];
+    int32_t& head = heads_[h >> bucket_shift_];
+    int32_t k = head;
+    for (; k >= 0; k = next[k]) {
+      if (hashes[k] != h) continue;
+      size_t w = 0;
+      while (w < num_words && words_[w][static_cast<size_t>(k)] == words_[w][row]) ++w;
+      if (w == num_words) break;
+    }
+    if (k < 0) {
+      k = keys++;
+      hashes[k] = h;
+      for (auto& words : words_) words[static_cast<size_t>(k)] = words[row];
+      first_row[k] = static_cast<int32_t>(r);
+      next[k] = head;
+      head = k;
+    } else if (k != prev) {
+      grouped = false;  // an earlier key comes back after another one
+    }
+    (*row_key)[row] = k;
+    prev = k;
+  }
+  next_.resize(static_cast<size_t>(keys));
+  run_start_.resize(static_cast<size_t>(keys));
+  hashes_.resize(static_cast<size_t>(keys));
+  for (auto& words : words_) words.resize(static_cast<size_t>(keys));
+  return grouped;
+}
+
+void HashJoinPairs::CompactKeys() {
+  const size_t keys = run_start_.size();
+  // Release the per-row capacity and re-bucket for the distinct keys alone.
+  hashes_.shrink_to_fit();
+  for (auto& words : words_) words.shrink_to_fit();
+  next_.shrink_to_fit();
+  run_start_.shrink_to_fit();
+  const int bits = BucketBits(static_cast<int64_t>(keys));
+  bucket_shift_ = 64 - bits;
+  heads_.assign(size_t{1} << bits, -1);
+  heads_.shrink_to_fit();
+  for (size_t k = 0; k < keys; ++k) {
+    int32_t& head = heads_[hashes_[k] >> bucket_shift_];
+    next_[k] = head;
+    head = static_cast<int32_t>(k);
+  }
+}
+
+void HashJoinPairs::GroupRows(const std::vector<int32_t>& row_key) {
+  // A stable counting sort on the key numbers: run starts from the key
+  // counts, then each row's position in its key's run, in build order.
+  const size_t keys = run_start_.size();
+  std::vector<int32_t> fill(keys + 1, 0);
+  for (int32_t k : row_key) ++fill[static_cast<size_t>(k) + 1];
+  for (size_t k = 0; k < keys; ++k) {
+    fill[k + 1] += fill[k];
+    run_start_[k] = fill[k];
+  }
+  std::vector<int32_t> order(row_key.size());
+  TrackedBytes scratch;
+  scratch.Set(CapacityBytes(fill) + CapacityBytes(order));
+  for (size_t r = 0; r < row_key.size(); ++r) {
+    order[static_cast<size_t>(fill[static_cast<size_t>(row_key[r])]++)] =
+        static_cast<int32_t>(r);
+  }
+  for (Vector& col : build_columns_) {
+    Vector grouped(col.type());
+    GatherIndexed(col, order.data(), build_rows_, &grouped);
+    col = std::move(grouped);
+  }
+}
+
 void HashJoinPairs::Track() {
-  int64_t bytes = TableBytes() + CapacityBytes(probe_hashes_) + CapacityBytes(probe_sel_) +
-                  CapacityBytes(build_sel_);
+  int64_t bytes = TableBytes() + CapacityBytes(probe_hashes_) +
+                  CapacityBytes(run_probe_) + CapacityBytes(run_build_) +
+                  CapacityBytes(run_length_);
   for (const auto& col : probe_norm_keys_) bytes += CapacityBytes(col);
   tracked_.Set(bytes);
 }
 
 int64_t HashJoinPairs::TableBytes() const {
-  int64_t bytes = CapacityBytes(heads_) + CapacityBytes(next_) +
-                  CapacityBytes(build_hashes_);
-  for (const auto& col : build_norm_keys_) bytes += CapacityBytes(col);
+  int64_t bytes = CapacityBytes(heads_) + CapacityBytes(next_) + CapacityBytes(hashes_) +
+                  CapacityBytes(run_start_);
+  for (const auto& col : words_) bytes += CapacityBytes(col);
   return bytes;
 }
 
 void HashJoinPairs::ClearBuild() {
   // The table's arrays keep their capacity (and its tracked bytes) for the
-  // next morsel's rebuild.
+  // next morsel's rebuild, unless a build into key runs shrinks them.
   build_columns_.clear();
   build_rows_ = 0;
   built_ = false;
@@ -118,52 +263,95 @@ Status HashJoinPairs::PrepareProbeChunk() {
   Track();
   ++probe_chunks_;
   probe_row_ = 0;
-  chain_row_ = -1;
+  run_row_ = -1;
   probe_chunk_valid_ = true;
   return Status::OK();
 }
 
 int64_t HashJoinPairs::CollectMatches(int64_t room) {
-  // The walk runs on locals (raw arrays, the cursor in registers) and
-  // writes the cursor back when it stops.
-  const size_t num_keys = probe_norm_keys_.size();
+  // The walks run on locals (raw arrays, the cursor in registers) and write
+  // the cursor back when they stop.
+  const size_t num_words = probe_norm_keys_.size();
   const int32_t* heads = heads_.data();
   const int32_t* next = next_.data();
-  const uint64_t* build_hashes = build_hashes_.data();
+  const uint64_t* hashes = hashes_.data();
   const uint64_t* probe_hashes = probe_hashes_.data();
-  int32_t* probe_sel = probe_sel_.data();
-  int32_t* build_sel = build_sel_.data();
+  auto equal = [&](int32_t e, int64_t p) {
+    for (size_t w = 0; w < num_words; ++w) {
+      if (words_[w][static_cast<size_t>(e)] !=
+          probe_norm_keys_[w][static_cast<size_t>(p)]) {
+        return false;
+      }
+    }
+    return true;
+  };
   const int64_t rows = probe_chunk_.size;
+  int32_t* run_probe = run_probe_.data();
+  int32_t* run_build = run_build_.data();
+  int32_t* run_length = run_length_.data();
+  int64_t num_runs = 0;
   int64_t n = 0;
   int64_t p = probe_row_;
-  int32_t b = chain_row_;
-  for (; p < rows; ++p, b = -1) {
-    const uint64_t h = probe_hashes[p];
-    for (b = b >= 0 ? b : heads[h >> bucket_shift_]; b >= 0; b = next[b]) {
-      if (build_hashes[b] != h) continue;
-      bool equal = true;
-      for (size_t k = 0; k < num_keys && equal; ++k) {
-        equal = build_norm_keys_[k][static_cast<size_t>(b)] ==
-                probe_norm_keys_[k][static_cast<size_t>(p)];
+  int32_t b = run_row_;
+  if (run_start_.empty()) {
+    // Build rows chained per bucket: every match is a run of one, and the
+    // cursor is the chain entry to resume at.
+    for (; p < rows; ++p, b = -1) {
+      const uint64_t h = probe_hashes[p];
+      for (b = b >= 0 ? b : heads[h >> bucket_shift_]; b >= 0; b = next[b]) {
+        if (hashes[b] != h || !equal(b, p)) continue;
+        if (n == room) {
+          probe_row_ = p;
+          run_row_ = b;
+          num_runs_ = num_pairs_ = n;
+          return n;
+        }
+        run_probe[n] = static_cast<int32_t>(p);
+        run_build[n] = b;
+        run_length[n] = 1;
+        ++n;
       }
-      if (!equal) continue;
-      if (n == room) {
-        probe_row_ = p;
-        chain_row_ = b;
-        return n;
-      }
-      probe_sel[n] = static_cast<int32_t>(p);
-      build_sel[n] = b;
-      ++n;
     }
+    probe_row_ = p;
+    run_row_ = -1;
+    num_runs_ = num_pairs_ = n;
+    return n;
+  }
+  // Key runs: one lookup per probe row, and the cursor is the build row at
+  // which a cut run resumes.
+  const int32_t* run_start = run_start_.data();
+  int32_t end = run_end_;
+  for (; p < rows && n < room; ++p) {
+    if (b < 0) {
+      const uint64_t h = probe_hashes[p];
+      int32_t k = heads[h >> bucket_shift_];
+      while (k >= 0 && (hashes[k] != h || !equal(k, p))) k = next[k];
+      if (k < 0) continue;
+      b = run_start[k];
+      end = run_start[k + 1];
+    }
+    const int32_t take = static_cast<int32_t>(std::min<int64_t>(end - b, room - n));
+    run_probe[num_runs] = static_cast<int32_t>(p);
+    run_build[num_runs] = b;
+    run_length[num_runs] = take;
+    ++num_runs;
+    n += take;
+    b += take;
+    if (b < end) break;  // the batch is full inside the run: resume at b
+    b = -1;
   }
   probe_row_ = p;
-  chain_row_ = -1;
+  run_row_ = b;
+  run_end_ = end;
+  num_runs_ = num_runs;
+  num_pairs_ = n;
   return n;
 }
 
 Status HashJoinPairs::Next(ExecContext* ctx, int64_t room, int64_t* n) {
+  INDBML_DCHECK(room > 0 && room <= kDefaultVectorSize);
   *n = 0;
+  num_runs_ = num_pairs_ = 0;
   INDBML_RETURN_NOT_OK(EnsureBuilt(ctx));
   while (*n == 0) {
     if (!probe_chunk_valid_) {
@@ -204,14 +392,14 @@ Status HashJoinOperator::Next(ExecContext* ctx, DataChunk* out, bool* eof) {
     int64_t n = 0;
     INDBML_RETURN_NOT_OK(pairs_.Next(ctx, kDefaultVectorSize - out->size, &n));
     if (n == 0) break;
+    const PairRuns runs = pairs_.runs();
     for (int64_t c = 0; c < probe_width; ++c) {
-      GatherIndexed(pairs_.probe_chunk().column(c), pairs_.probe_sel(), n,
-                    &out->column(c), out->size);
+      GatherProbeRuns(pairs_.probe_chunk().column(c), runs, &out->column(c), out->size);
     }
     const std::vector<Vector>& build = pairs_.build_columns();
     for (size_t c = 0; c < build.size(); ++c) {
-      GatherIndexed(build[c], pairs_.build_sel(), n,
-                    &out->column(probe_width + static_cast<int64_t>(c)), out->size);
+      GatherBuildRuns(build[c], runs, &out->column(probe_width + static_cast<int64_t>(c)),
+                      out->size);
     }
     out->size += n;
   }

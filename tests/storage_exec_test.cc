@@ -1314,6 +1314,277 @@ TEST(GroupJoinTest, MorselDrivenBuildSideIsRebuiltPerRewind) {
   pair.unfused->Close(&unfused_ctx);
 }
 
+// ---------- key-run join table ----------
+
+using JoinKey = std::pair<int64_t, float>;
+
+/// (a BIGINT, b FLOAT, tag BIGINT) with the join keys `keys` in order; tag =
+/// `tag_base` + row number, so a pair names its build row.
+storage::TablePtr MakeKeyTableFrom(const std::string& name, const std::vector<JoinKey>& keys,
+                                   int64_t tag_base) {
+  auto t = std::make_shared<storage::Table>(
+      name, std::vector<storage::Field>{
+                {"a", DataType::kInt64}, {"b", DataType::kFloat}, {"tag", DataType::kInt64}});
+  for (size_t r = 0; r < keys.size(); ++r) {
+    INDBML_CHECK(t->AppendRow({I(keys[r].first), F(keys[r].second),
+                               I(tag_base + static_cast<int64_t>(r))})
+                     .ok());
+  }
+  t->Finalize();
+  return t;
+}
+
+/// MakeGroupJoinBuild's columns with the join keys `keys` in order and
+/// random rest keys and arguments.
+storage::TablePtr MakeGroupJoinBuildFrom(const std::vector<JoinKey>& keys, uint64_t seed) {
+  const float rest[] = {0.0f, -0.0f, 0.5f};
+  Random rng(seed);
+  auto t = std::make_shared<storage::Table>(
+      "build", std::vector<storage::Field>{{"a", DataType::kInt64},
+                                           {"b", DataType::kFloat},
+                                           {"g", DataType::kInt64},
+                                           {"h", DataType::kFloat},
+                                           {"yi", DataType::kInt64},
+                                           {"yf", DataType::kFloat}});
+  for (const JoinKey& key : keys) {
+    INDBML_CHECK(t->AppendRow({I(key.first), F(key.second),
+                               I(static_cast<int64_t>(rng.NextUint64(3))),
+                               F(rest[rng.NextUint64(3)]),
+                               I(static_cast<int64_t>(rng.NextUint64()) >> 1),
+                               F(rng.NextFloat(-4, 4))})
+                     .ok());
+  }
+  t->Finalize();
+  return t;
+}
+
+/// Keys with run lengths `lengths`, either one key after another or dealt
+/// round-robin (A B C A B C ...) until each key's rows are out. The keys are
+/// (0, 0.0), (1, 1.5), (2, -2.25), (3, -0.0), ... in MakeGroupJoinProbe's
+/// key space.
+std::vector<JoinKey> RunKeys(const std::vector<int64_t>& lengths, bool round_robin) {
+  const float floats[] = {0.0f, 1.5f, -2.25f, -0.0f};
+  std::vector<JoinKey> keys;
+  std::vector<int64_t> left = lengths;
+  for (bool more = true; more;) {
+    more = false;
+    for (size_t k = 0; k < left.size(); ++k) {
+      const int64_t take = round_robin ? std::min<int64_t>(left[k], 1) : left[k];
+      for (int64_t i = 0; i < take; ++i) {
+        keys.emplace_back(static_cast<int64_t>(k), floats[k % 4]);
+      }
+      left[k] -= take;
+      more = more || left[k] > 0;
+    }
+  }
+  return keys;
+}
+
+/// Runs a hash join of `probe` against `build` on (a, b) and checks it
+/// against the nested-loop reference row for row, with every chunk but the
+/// last full; the build must choose key runs iff `key_runs`.
+void ExpectJoinMatchesNestedLoop(const storage::TablePtr& probe,
+                                 const storage::TablePtr& build, bool key_runs) {
+  {
+    exec::HashJoinPairs pairs(ScanAll(probe), ScanAll(build), TwoColumnKeys(),
+                              TwoColumnKeys());
+    ExecContext ctx;
+    ASSERT_OK(pairs.Open(&ctx));
+    ASSERT_OK(pairs.EnsureBuilt(&ctx));
+    EXPECT_EQ(pairs.key_runs(), key_runs);
+    pairs.Close(&ctx);
+  }
+  exec::HashJoinOperator join(ScanAll(probe), ScanAll(build), TwoColumnKeys(),
+                              TwoColumnKeys());
+  const std::vector<DataChunk> chunks = RunChunks(&join);
+  for (size_t i = 0; i + 1 < chunks.size(); ++i) {
+    ASSERT_EQ(chunks[i].size, kDefaultVectorSize) << "chunk " << i;
+  }
+  std::vector<Row> rows;
+  for (const DataChunk& chunk : chunks) {
+    for (int64_t r = 0; r < chunk.size; ++r) {
+      Row row;
+      for (int64_t c = 0; c < chunk.num_columns(); ++c) {
+        row.push_back(chunk.column(c).GetValue(r));
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  ExpectSameRows(rows, NestedLoopJoin(TableRows(*probe, 0, probe->num_rows()),
+                                      TableRows(*build, 0, build->num_rows())));
+}
+
+TEST(JoinRunTest, InterleavedRepeatedKeysKeepBuildOrder) {
+  // A B C A B C ...: twelve keys (0.0 and -0.0 alternate within a key)
+  // spread over 2 400 rows, so the build is regrouped into runs and each
+  // run must keep its rows in build order.
+  const float floats[] = {0.0f, 1.5f, -2.25f};
+  std::vector<JoinKey> keys;
+  for (int64_t r = 0; r < 2400; ++r) {
+    const float b = floats[(r / 4) % 3];
+    keys.emplace_back((r % 4), b == 0.0f && r % 8 < 4 ? -0.0f : b);
+  }
+  ExpectJoinMatchesNestedLoop(MakeKeyTable("probe", 400, 41, 0),
+                              MakeKeyTableFrom("build", keys, 10000), true);
+}
+
+TEST(JoinRunTest, KeysSharingBucketsMatchNestedLoop) {
+  // 3 000 distinct keys, each four times (all of them once, then all
+  // again, ...): key runs, and 3 000 keys in 8 192 buckets share buckets
+  // many times over.
+  std::vector<JoinKey> keys;
+  for (int64_t r = 0; r < 12000; ++r) keys.emplace_back(r % 3000, r < 6000 ? 0.0f : -0.0f);
+  std::vector<JoinKey> probe_keys;
+  Random rng(43);
+  for (int64_t r = 0; r < 1500; ++r) {
+    probe_keys.emplace_back(static_cast<int64_t>(rng.NextUint64(3500)),
+                            rng.NextUint64(2) == 0 ? 0.0f : -0.0f);
+  }
+  ExpectJoinMatchesNestedLoop(MakeKeyTableFrom("probe", probe_keys, 0),
+                              MakeKeyTableFrom("build", keys, 10000), true);
+}
+
+TEST(JoinRunTest, RunsCutAtTheBatchLimitResumeInPlace) {
+  // Runs of 1 023, 1 024, 1 025 and 1 100 rows, probed in an order that
+  // cuts them at every offset; once already grouped (the build is kept as
+  // drained) and once dealt round-robin (the build is regrouped).
+  std::vector<JoinKey> probe_keys = {{0, 0.0f},  {1, 1.5f},  {2, -2.25f}, {3, 0.0f},
+                                     {9, 0.0f},  {3, -0.0f}, {2, -2.25f}, {1, 1.5f},
+                                     {0, -0.0f}, {0, 0.0f}};
+  for (bool round_robin : {false, true}) {
+    SCOPED_TRACE(round_robin ? "round robin" : "grouped");
+    ExpectJoinMatchesNestedLoop(
+        MakeKeyTableFrom("probe", probe_keys, 0),
+        MakeKeyTableFrom("build", RunKeys({1023, 1024, 1025, 1100}, round_robin), 10000),
+        true);
+  }
+}
+
+TEST(JoinRunTest, MorselDrivenBuildRepetitionDiffersPerMorsel) {
+  // Rows [0, 300) have unique keys (row chains); rows [300, 900) repeat
+  // five keys round-robin (key runs). Morsels of either kind and across the
+  // border are rebuilt on each Rewind.
+  std::vector<JoinKey> keys;
+  for (int64_t r = 0; r < 900; ++r) {
+    keys.emplace_back(r < 300 ? r : r % 5, r % 2 == 0 ? 0.0f : -0.0f);
+  }
+  auto build = MakeKeyTableFrom("build", keys, 10000);
+  std::vector<JoinKey> probe_keys;
+  Random rng(47);
+  for (int64_t r = 0; r < 700; ++r) {
+    probe_keys.emplace_back(static_cast<int64_t>(rng.NextUint64(320)), 0.0f);
+  }
+  auto probe = MakeKeyTableFrom("probe", probe_keys, 0);
+  exec::HashJoinOperator join(
+      ScanAll(probe),
+      std::make_unique<exec::TableScanOperator>(exec::TableScanOperator::MorselBound{},
+                                                build, std::vector<int>{0, 1, 2},
+                                                std::vector<exec::ScanPredicate>{}),
+      TwoColumnKeys(), TwoColumnKeys());
+  ExecContext ctx;
+  ASSERT_OK(join.Open(&ctx));
+  const std::vector<Row> probe_rows = TableRows(*probe, 0, probe->num_rows());
+  for (auto [begin, end] : {std::pair<int64_t, int64_t>{0, 300}, {300, 900}, {250, 400},
+                            {299, 301}, {0, 300}}) {
+    SCOPED_TRACE("morsel " + std::to_string(begin) + ".." + std::to_string(end));
+    ctx.morsel_begin = begin;
+    ctx.morsel_end = end;
+    ASSERT_OK(join.Rewind(&ctx));
+    ExpectSameRows(DrainRows(&join, &ctx),
+                   NestedLoopJoin(probe_rows, TableRows(*build, begin, end)));
+  }
+  join.Close(&ctx);
+}
+
+TEST(JoinRunTest, LayoutFollowsMeasuredKeyRepetition) {
+  // Every key repeated kRunRowsPerKey (4) times lays the build out in key
+  // runs; every key 3 times, or unique keys, keeps row chains. Both sides
+  // of the threshold, dealt round-robin, match the nested loop in order.
+  for (auto [per_key, runs] : {std::pair<int64_t, bool>{4, true}, {3, false}, {1, false}}) {
+    SCOPED_TRACE(std::to_string(per_key) + " rows per key");
+    std::vector<JoinKey> keys;
+    for (int64_t r = 0; r < 300 * per_key; ++r) keys.emplace_back(r % 300, 0.0f);
+    auto build = MakeKeyTableFrom("build", keys, 10000);
+    std::vector<JoinKey> probe_keys;
+    for (int64_t r = 0; r < 700; ++r) {
+      probe_keys.emplace_back((r * 7) % 320, r % 2 == 0 ? 0.0f : -0.0f);
+    }
+    ExpectJoinMatchesNestedLoop(MakeKeyTableFrom("probe", probe_keys, 0), build, runs);
+  }
+}
+
+TEST(JoinRunTest, GroupJoinConsumesRunsBitForBit) {
+  // The groupjoin against HashJoin -> StreamingAggregate on the run shapes
+  // above: interleaved keys, runs cut by the batch limit (grouped and
+  // regrouped builds), keys too rare for runs (row chains), and a selected
+  // probe chunk.
+  auto probe = MakeGroupJoinProbe(600, 51);
+  auto filtered = [&] {
+    return exec::OperatorPtr(std::make_unique<exec::FilterOperator>(
+        ScanAll(probe),
+        exec::MakeBinary(exec::BinaryOp::kNe,
+                         exec::MakeBinary(exec::BinaryOp::kMod,
+                                          exec::MakeColumnRef(3, DataType::kInt64),
+                                          exec::MakeConstant(I(3))),
+                         exec::MakeConstant(I(0)))));
+  };
+  std::vector<std::pair<std::string, storage::TablePtr>> builds;
+  builds.emplace_back("interleaved",
+                      MakeGroupJoinBuildFrom(RunKeys({40, 40, 40, 40, 3, 1}, true), 52));
+  builds.emplace_back("grouped runs",
+                      MakeGroupJoinBuildFrom(RunKeys({1023, 1024, 1025, 1100}, false), 53));
+  builds.emplace_back("regrouped runs",
+                      MakeGroupJoinBuildFrom(RunKeys({1023, 1024, 1025, 1100}, true), 54));
+  builds.emplace_back("row chains", MakeGroupJoinBuildFrom(RunKeys({3, 3, 2, 1}, true), 57));
+  for (const auto& [name, build] : builds) {
+    for (bool selected : {false, true}) {
+      SCOPED_TRACE(name + (selected ? ", selected probe" : ""));
+      GroupJoinPair pair = MakeGroupJoinPair(
+          selected ? std::function<exec::OperatorPtr()>(filtered)
+                   : std::function<exec::OperatorPtr()>([&] { return ScanAll(probe); }),
+          [&] { return ScanAll(build); });
+      const std::vector<DataChunk> expected = RunChunks(pair.unfused.get());
+      ASSERT_FALSE(expected.empty());
+      ExpectSameChunks(RunChunks(pair.fused.get()), expected);
+    }
+  }
+}
+
+TEST(JoinRunTest, GroupJoinMorselBuildRepetitionDiffersPerMorsel) {
+  // Rows [0, 200) of the build repeat four keys round-robin (regrouped),
+  // rows [200, 204) hold each key once and rows [204, 400) one run of 49
+  // rows per key (kept as drained); a one-row morsel keeps row chains.
+  std::vector<JoinKey> keys = RunKeys({50, 50, 50, 50}, true);
+  for (const JoinKey& key : RunKeys({1, 1, 1, 1}, false)) keys.push_back(key);
+  for (const JoinKey& key : RunKeys({49, 49, 49, 49}, false)) keys.push_back(key);
+  auto build = MakeGroupJoinBuildFrom(keys, 55);
+  auto probe = MakeGroupJoinProbe(900, 56);
+  auto morsel_build = [&] {
+    return exec::OperatorPtr(std::make_unique<exec::TableScanOperator>(
+        exec::TableScanOperator::MorselBound{}, build, std::vector<int>{0, 1, 2, 3, 4, 5},
+        std::vector<exec::ScanPredicate>{}));
+  };
+  GroupJoinPair pair = MakeGroupJoinPair([&] { return ScanAll(probe); }, morsel_build);
+  ExecContext fused_ctx;
+  ExecContext unfused_ctx;
+  ASSERT_OK(pair.fused->Open(&fused_ctx));
+  ASSERT_OK(pair.unfused->Open(&unfused_ctx));
+  for (auto [begin, end] : {std::pair<int64_t, int64_t>{0, 200}, {200, 400}, {150, 260},
+                            {203, 204}, {0, 400}}) {
+    SCOPED_TRACE("morsel " + std::to_string(begin) + ".." + std::to_string(end));
+    for (ExecContext* ctx : {&fused_ctx, &unfused_ctx}) {
+      ctx->morsel_begin = begin;
+      ctx->morsel_end = end;
+    }
+    ASSERT_OK(pair.fused->Rewind(&fused_ctx));
+    ASSERT_OK(pair.unfused->Rewind(&unfused_ctx));
+    ExpectSameChunks(DrainChunks(pair.fused.get(), &fused_ctx),
+                     DrainChunks(pair.unfused.get(), &unfused_ctx));
+  }
+  pair.fused->Close(&fused_ctx);
+  pair.unfused->Close(&unfused_ctx);
+}
+
 // ---------- sort / limit ----------
 
 TEST(SortTest, MultiKeyMixedDirections) {
